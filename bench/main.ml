@@ -1660,17 +1660,22 @@ let n1 ?(quick = false) () =
    would be contradictory proofs); the box-count reduction is therefore
    bought without changing any answer.  The ODE workload records tube
    widths, not verdicts: the affine pass may only tighten the
-   enclosure, so final-width ratio >= 1 is the check.  Caches are off
-   (each run does its own full search); wall times are per-run minima
-   over a few rounds (noisy container clock, see T1). *)
+   enclosure, so final-width ratio >= 1 is the check.  The Taylor-model
+   switch is held off in both arms: it reaches pave, where its
+   certifier and contractor would mask the affine pass (TM1 measures
+   TM on top of this baseline).  Caches are off (each run does its own
+   full search); wall times are per-run minima over a few rounds (noisy
+   container clock, see T1). *)
 
 let af1 ?(quick = false) () =
   section
     (if quick then "AF1  Affine arithmetic off vs on (quick)"
      else "AF1  Affine arithmetic: noise-symbol forward pass, off vs on");
   Cache.set_policy Cache.Off;
+  Interval.Tm.set_enabled false;
   Fun.protect ~finally:(fun () ->
       Cache.clear_policy_override ();
+      Interval.Tm.clear_enabled_override ();
       Interval.Affine.clear_enabled_override ())
   @@ fun () ->
   let rounds = if quick then 2 else 3 in
@@ -1879,32 +1884,29 @@ let af1 ?(quick = false) () =
    kept exactly, Bernstein range bound, enclosure-assisted
    sat-certification in pave) against the affine-era search: both arms
    run with the affine layer at its default (on), so the ratios isolate
-   what the second-order terms buy on top of AF1.  The target is
-   precisely AF1's honest ~1.00x rows: band pavings are split-to-ε
-   along their boundary and sat-certified by interval evaluation, a
-   path the affine pass never touched — the TM certifier proves those
-   band leaves sat whole boxes earlier.  Verdict identity is asserted
-   in-process for every decide pair; pavings are checked for sat/unsat
-   leaf contradictions and TM-certified leaves for center feasibility
-   (sat sets may legitimately grow: certifying earlier is the point).
-   Box reductions are recorded honestly, regressions included.  Caches
-   off; wall times are per-run minima over a few rounds (see T1). *)
+   what the second-order terms buy on top of AF1.  The global switch
+   reaches only pave (its infeasibility contractor and sat-certifier):
+   decide and ODE flows never evaluate Taylor models, so the rows are
+   pavings.  The target is precisely AF1's honest ~1.00x rows: band
+   pavings are split-to-ε along their boundary and sat-certified by
+   interval evaluation, a path the affine pass never touched — the TM
+   certifier proves those band leaves sat whole boxes earlier.
+   Pavings are checked for sat/unsat leaf contradictions and
+   TM-certified leaves for center feasibility (sat sets may
+   legitimately grow: certifying earlier is the point).  Box reductions
+   are recorded honestly, regressions included.  Caches off; wall
+   times are per-run minima over a few rounds (see T1). *)
 
 let tm1 ?(quick = false) () =
   section
     (if quick then "TM1  Taylor models off vs on (quick)"
-     else "TM1  Taylor models: quadratic enclosures and band certification, off vs on");
+     else "TM1  Taylor models: band certification in pave, off vs on");
   Cache.set_policy Cache.Off;
   Fun.protect ~finally:(fun () ->
       Cache.clear_policy_override ();
       Interval.Tm.clear_enabled_override ())
   @@ fun () ->
   let rounds = if quick then 2 else 3 in
-  let verdict_of = function
-    | Icp.Solver.Delta_sat _ -> "delta-sat"
-    | Icp.Solver.Unsat -> "unsat"
-    | Icp.Solver.Unknown _ -> "unknown"
-  in
   let counts (s : Icp.Solver.stats) =
     (s.Icp.Solver.boxes_processed, s.Icp.Solver.splits, s.Icp.Solver.prunings)
   in
@@ -1917,22 +1919,7 @@ let tm1 ?(quick = false) () =
     done;
     (Option.get !result, !best)
   in
-  (* The AF1 workloads, so the two JSON dumps line up row for row. *)
-  let cubic =
-    Expr.Parse.formula
-      "x^3 - 2*x^2 + 1.25*x = 0.25 and y^3 - 2*y^2 + 1.25*y = 0.25 and \
-       (x - y)^2 >= 0.3"
-  in
-  let cubic_box =
-    Box.of_list [ ("x", I.make 0.0 2.0); ("y", I.make 0.0 2.0) ]
-  in
-  let mm =
-    Expr.Parse.formula
-      "1.2*s1/(0.4 + s1) + 1.2*s2/(0.4 + s2) = 1.35 and s1 + s2 = 1"
-  in
-  let mm_box =
-    Box.of_list [ ("s1", I.make 0.0 1.0); ("s2", I.make 0.0 1.0) ]
-  in
+  (* The AF1 pave workloads, so the two JSON dumps line up row for row. *)
   let fit =
     Expr.Parse.formula
       "a*k*exp(-k) >= 0.3 and a*k*exp(-k) <= 0.5 and \
@@ -1955,19 +1942,6 @@ let tm1 ?(quick = false) () =
   in
   let mm_infeasible_box =
     Box.of_list [ ("s1", I.make 0.0 1.0); ("s2", I.make 0.0 1.0) ]
-  in
-  let run_decide name formula box config =
-    let run on =
-      Interval.Tm.set_enabled on;
-      best_of (fun () -> Icp.Solver.decide_with_stats ~config formula box)
-    in
-    let (r_off, s_off), t_off = run false in
-    let (r_on, s_on), t_on = run true in
-    if verdict_of r_off <> verdict_of r_on then
-      failwith
-        (Printf.sprintf "TM1 %s: verdicts differ (off=%s, on=%s)" name
-           (verdict_of r_off) (verdict_of r_on));
-    (name, "decide", verdict_of r_off, counts s_off, t_off, counts s_on, t_on)
   in
   let run_pave name formula box config =
     let run on =
@@ -1998,95 +1972,47 @@ let tm1 ?(quick = false) () =
         | _ -> ())
       p_on.Icp.Solver.sat;
     let v = if p_on.Icp.Solver.sat <> [] then "feasible" else "infeasible" in
-    (name, "pave", v, counts s_off, t_off, counts s_on, t_on)
-  in
-  let dcfg =
-    { Icp.Solver.default_config with
-      delta = (if quick then 1e-3 else 1e-4);
-      epsilon = (if quick then 1e-4 else 1e-5) }
+    (name, v, counts s_off, t_off, counts s_on, t_on)
   in
   let pcfg =
     { Icp.Solver.default_config with
       epsilon = (if quick then 0.02 else 0.01) }
   in
   let results =
-    [ run_decide "decide-cubic-separation" cubic cubic_box dcfg;
-      run_decide "decide-mm-kinetics" mm mm_box dcfg;
-      run_pave "pave-impulse-fit" fit fit_box pcfg;
+    [ run_pave "pave-impulse-fit" fit fit_box pcfg;
       run_pave "pave-cubic-band" cubic_band cubic_band_box pcfg;
       run_pave "pave-mm-infeasible" mm_infeasible mm_infeasible_box pcfg ]
   in
-  (* ODE workload as in AF1: the TM pass may only tighten the logistic
-     tube (width ratio >= 1), step for step. *)
-  let ode =
-    let sys =
-      Ode.System.of_strings ~vars:[ "x" ] ~params:[]
-        ~rhs:[ ("x", "x*(1 - x)") ]
-    in
-    let init = Box.of_list [ ("x", I.make 0.2 0.35) ] in
-    let t_end = if quick then 2.0 else 3.0 in
-    let run on =
-      Interval.Tm.set_enabled on;
-      best_of (fun () ->
-          Ode.Enclosure.flow ~params:Box.empty_map ~init ~t_end sys)
-    in
-    let tube_off, t_off = run false in
-    let tube_on, t_on = run true in
-    let w_off = Box.width tube_off.Ode.Enclosure.final
-    and w_on = Box.width tube_on.Ode.Enclosure.final in
-    let hull_off = Box.width (Ode.Enclosure.tube_hull tube_off)
-    and hull_on = Box.width (Ode.Enclosure.tube_hull tube_on) in
-    if tube_off.Ode.Enclosure.complete && not tube_on.Ode.Enclosure.complete
-    then failwith "TM1 ode-logistic-flow: TM run lost completeness";
-    ( "ode-logistic-flow", t_end,
-      List.length tube_off.Ode.Enclosure.steps, w_off, hull_off, t_off,
-      List.length tube_on.Ode.Enclosure.steps, w_on, hull_on, t_on )
-  in
   let rows =
     List.map
-      (fun (name, kind, v, (b0, _, _), t0, (b1, _, _), t1) ->
-        [ name; kind; v; string_of_int b0; string_of_int b1;
+      (fun (name, v, (b0, _, _), t0, (b1, _, _), t1) ->
+        [ name; v; string_of_int b0; string_of_int b1;
           Fmt.str "%.2fx" (float_of_int b0 /. float_of_int b1);
           Fmt.str "%.3fs" t0; Fmt.str "%.3fs" t1 ])
       results
   in
-  let ( ode_name, ode_tend, steps0, w0, h0, ot0, steps1, w1, h1, ot1 ) = ode in
   Report.print
     [ Report.table
         ~header:
-          [ "workload"; "kind"; "verdict"; "boxes off"; "boxes on";
-            "reduction"; "wall off"; "wall on" ]
-        rows;
-      Report.text "%s (t_end = %g): final width %.3g -> %.3g (%s), %d -> %d steps"
-        ode_name ode_tend w0 w1
-        (if Float.is_finite (w0 /. w1) then Fmt.str "%.2fx" (w0 /. w1)
-         else "interval tube diverged, TM bounded")
-        steps0 steps1 ];
+          [ "workload"; "verdict"; "boxes off"; "boxes on"; "reduction";
+            "wall off"; "wall on" ]
+        rows ];
   let buf = Buffer.create 1024 in
   Buffer.add_string buf
     (Printf.sprintf "{\n  \"quick\": %b,\n  \"workloads\": [\n" quick);
-  List.iter
-    (fun (name, kind, v, (b0, s0, p0), t0, (b1, s1, p1), t1) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"name\": %S, \"kind\": %S, \"verdict\": %S, \"identical\": true,\n\
-           \     \"off\": {\"boxes_processed\": %d, \"splits\": %d, \"prunings\": %d, \"wall_s\": %.6f},\n\
-           \     \"on\":  {\"boxes_processed\": %d, \"splits\": %d, \"prunings\": %d, \"wall_s\": %.6f},\n\
-           \     \"box_reduction\": %.3f},\n"
-           name kind v b0 s0 p0 t0 b1 s1 p1 t1
-           (float_of_int b0 /. float_of_int b1)))
-    results;
-  let jf v = if Float.is_finite v then Printf.sprintf "%.6g" v else "null" in
   Buffer.add_string buf
-    (Printf.sprintf
-       "    {\"name\": %S, \"kind\": \"flow\", \"t_end\": %g,\n\
-       \     \"off\": {\"steps\": %d, \"final_width\": %s, \"hull_width\": %s, \"wall_s\": %.6f},\n\
-       \     \"on\":  {\"steps\": %d, \"final_width\": %s, \"hull_width\": %s, \"wall_s\": %.6f},\n\
-       \     \"final_width_ratio\": %s, \"hull_width_ratio\": %s}\n"
-       ode_name ode_tend steps0 (jf w0) (jf h0) ot0 steps1 (jf w1) (jf h1)
-       ot1
-       (jf (w0 /. w1)) (jf (h0 /. h1)));
-  Buffer.add_string buf "  ]\n}\n";
+    (String.concat ",\n"
+       (List.map
+          (fun (name, v, (b0, s0, p0), t0, (b1, s1, p1), t1) ->
+            Printf.sprintf
+              "    {\"name\": %S, \"kind\": \"pave\", \"verdict\": %S,\n\
+              \     \"off\": {\"boxes_processed\": %d, \"splits\": %d, \"prunings\": %d, \"wall_s\": %.6f},\n\
+              \     \"on\":  {\"boxes_processed\": %d, \"splits\": %d, \"prunings\": %d, \"wall_s\": %.6f},\n\
+              \     \"box_reduction\": %.3f}"
+              name v b0 s0 p0 t0 b1 s1 p1 t1
+              (float_of_int b0 /. float_of_int b1))
+          results));
+  Buffer.add_string buf "\n  ]\n}\n";
   let oc = open_out "BENCH_tm.json" in
   output_string oc (Buffer.contents buf);
   close_out oc;

@@ -184,9 +184,10 @@ let no_affine_arg =
 
 let no_tm_arg =
   let doc =
-    "Disable degree-2 Taylor-model evaluation in the HC4 forward \
-     passes, pave certification and ODE enclosures, restoring the \
-     affine/interval-only search; equivalent to BIOMC_NO_TM=1."
+    "Disable degree-2 Taylor models in pave (sat-certification and \
+     its infeasibility contractor) and in the portfolio's tm racers, \
+     restoring the affine-era paving; decide, reach, synth and ODE \
+     enclosures never use them.  Equivalent to BIOMC_NO_TM=1."
   in
   Arg.(value & flag & info [ "no-tm" ] ~doc)
 

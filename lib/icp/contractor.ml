@@ -407,17 +407,18 @@ let hc4_cache : Box.t option Cache.t = Cache.create ~group_capacity:1024 "hc4"
    domains (tapes are immutable; scratch is per-domain via Domain.DLS;
    the cache shards are mutex-guarded). *)
 let contractor ?tol ?max_rounds ?newton:newton_req ?affine:affine_req
-    ?tm:tm_req constraints =
+    ?(tm = false) constraints =
   let tape = Expr.Tape.enabled () in
   (* Affine- and TM-tightened forward passes only exist on the tape
      path (the tree walker has no slot arrays to intersect into);
      sampled at build time like [tape] so the closure and its cache
-     group stay consistent.  [?affine] / [?tm] / [?newton] override the
-     global switches for this closure only — portfolio racers need
+     group stay consistent.  [?affine] / [?newton] override the global
+     switches for this closure only — portfolio racers need
      per-strategy layer choices without flipping process-wide atomics
      under each other — and key the cache group exactly like the
      sampled globals would, so per-strategy closures share groups with
-     same-flag global runs. *)
+     same-flag global runs.  The Taylor-model pass is opt-in per call
+     site ([?tm], default off): only pave and tm racers ask for it. *)
   let affine =
     tape
     &&
@@ -425,10 +426,7 @@ let contractor ?tol ?max_rounds ?newton:newton_req ?affine:affine_req
     | Some b -> b
     | None -> Interval.Affine.enabled ()
   in
-  let tm =
-    tape
-    && match tm_req with Some b -> b | None -> Interval.Tm.enabled ()
-  in
+  let tm = tape && tm in
   let base =
     if tape then begin
       let cs = compile constraints in

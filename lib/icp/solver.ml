@@ -58,11 +58,20 @@ let jbounds b =
   Array.of_list
     (List.map (fun (x, i) -> (x, I.lo i, I.hi i)) (Box.to_list b))
 
-let journal_flags jobs =
+(* "tm" records whether the run evaluates Taylor models: a forced
+   strategy's axis, any racer's in a race, else the caller's [tm]. *)
+let journal_flags ?strategy ~tm jobs =
+  let tm =
+    match strategy with
+    | Some s -> s.Portfolio.tm
+    | None when Portfolio.active () ->
+        List.exists (fun s -> s.Portfolio.tm) (Portfolio.lineup ())
+    | None -> tm
+  in
   [ ("newton", string_of_bool (Deriv.enabled ()));
     ("affine", string_of_bool (Interval.Affine.enabled ()));
     ("affine_budget", string_of_int (Interval.Affine.budget ()));
-    ("tm", string_of_bool (Interval.Tm.enabled ()));
+    ("tm", string_of_bool (Expr.Tape.enabled () && tm));
     ("cache", string_of_bool (Cache.enabled ()));
     ("tape", string_of_bool (Expr.Tape.enabled ()));
     ("portfolio", string_of_bool (Portfolio.active ()));
@@ -212,7 +221,7 @@ let refuted_group cfg atoms =
     let constraints = List.map (Contractor.of_atom ~delta:cfg.delta) atoms in
     let rels = rels_key atoms in
     Some
-      (Printf.sprintf "prune|%s|%s|%h|%d|%b|%b|%b|%b|%b"
+      (Printf.sprintf "prune|%s|%s|%h|%d|%b|%b|%b|%b"
          (Contractor.fingerprint constraints) rels
          cfg.delta cfg.contractor_rounds cfg.use_contraction
          (Expr.Tape.enabled ())
@@ -220,10 +229,9 @@ let refuted_group cfg atoms =
             into a BIOMC_NO_NEWTON=1 run would change that run's search
             trajectory — the kill-switch must reproduce the HC4-only
             search exactly, so the two populations stay separate.  Same
-            story for the affine and Taylor-model flags below. *)
+            story for the affine flag below. *)
          (Deriv.enabled ())
-         (Interval.Affine.enabled ())
-         (Interval.Tm.enabled ()))
+         (Interval.Affine.enabled ()))
 
 (* Per-query gradient system for smear-guided branching (and, through
    [Contractor.contractor], the Newton contraction).  [None] when the
@@ -892,7 +900,7 @@ let decide_with_stats ?config ?strategy formula box =
         if Journal.on () then begin
           let cfg = Option.value config ~default:default_config in
           Journal.begin_run ~kind:"decide"
-            ~flags:(journal_flags (Stdlib.max 1 cfg.jobs))
+            ~flags:(journal_flags ?strategy ~tm:false (Stdlib.max 1 cfg.jobs))
             ()
         end
         else 0
@@ -1335,15 +1343,14 @@ let pave_default ?(config = default_config) formula box =
   let constraints = List.map (Contractor.of_atom ~delta:0.0) atoms in
   (* Compiled once for the whole paving; used only as an infeasibility
      test, so the atom conjunction over-approximation is sound here. *)
+  let tm = Interval.Tm.enabled () in
   let contract =
-    if config.use_contraction then Contractor.contractor ~max_rounds:2 constraints
+    if config.use_contraction then
+      Contractor.contractor ~max_rounds:2 ~tm constraints
     else fun b -> Some b
   in
   let refuted = pave_group config formula in
-  let cert =
-    pave_cert ~affine:(Interval.Affine.enabled ())
-      ~tm:(Interval.Tm.enabled ()) formula
-  in
+  let cert = pave_cert ~affine:(Interval.Affine.enabled ()) ~tm formula in
   let dsys = conjunction_deriv ~delta:0.0 atoms in
   let jobs = Stdlib.max 1 config.jobs in
   let stats = fresh_stats () in
@@ -1439,7 +1446,9 @@ let pave_with_stats ?config ?strategy formula box =
         if Journal.on () then begin
           let cfg = Option.value config ~default:default_config in
           Journal.begin_run ~kind:"pave"
-            ~flags:(journal_flags (Stdlib.max 1 cfg.jobs))
+            ~flags:
+              (journal_flags ?strategy ~tm:(Interval.Tm.enabled ())
+                 (Stdlib.max 1 cfg.jobs))
             ()
         end
         else 0

@@ -185,28 +185,10 @@ let flow_tape ?(warm = []) cfg prep ~params ~init ~t_end ~iters t0 =
      rates with opposite signs in mass-action kinetics), so the affine
      range intersected into the interval one shrinks f(B) and with it
      the whole tube.  Sampled once per flow — the flow cache group is
-     keyed on the same flag. *)
+     keyed on the same flag.  No Taylor-model pass: on the paper's
+     workloads it took most of the flow time and changed no tube. *)
   let affine = Interval.Affine.enabled () in
-  (* Taylor-model evaluation stacks on the same pattern: quadratic
-     correlations between state variables (mass-action products) that
-     the affine pass folds into its error radius stay exact here, so
-     the TM range can tighten f(B) further.  Also sampled once per
-     flow and keyed into the flow cache group. *)
-  let tm = Interval.Tm.enabled () in
   let abuf = Array.make n I.empty in
-  let tbuf = Array.make n I.empty in
-  let intersect_into (enc : I.t array) (out : I.t array) =
-    let tightened = ref false in
-    for i = 0 to n - 1 do
-      let v = out.(i) in
-      let w = I.inter v enc.(i) in
-      if not (w.I.lo = v.I.lo && w.I.hi = v.I.hi) then begin
-        out.(i) <- w;
-        tightened := true
-      end
-    done;
-    !tightened
-  in
   let eval_field tape sc time (x : I.t array) (out : I.t array) =
     Array.blit x 0 inp 0 n;
     inp.(n + np) <- time;
@@ -214,11 +196,16 @@ let flow_tape ?(warm = []) cfg prep ~params ~init ~t_end ~iters t0 =
     if affine then
       Interval.Affine.with_span (fun () ->
           Expr.Tape.eval_affine_into tape sc ~inputs:inp ~out:abuf;
-          if intersect_into abuf out then Interval.Affine.note_tightening ());
-    if tm then
-      Interval.Tm.with_span (fun () ->
-          Expr.Tape.eval_tm_into tape sc ~inputs:inp ~out:tbuf;
-          if intersect_into tbuf out then Interval.Tm.note_tightening ())
+          let tightened = ref false in
+          for i = 0 to n - 1 do
+            let v = out.(i) in
+            let w = I.inter v abuf.(i) in
+            if not (w.I.lo = v.I.lo && w.I.hi = v.I.hi) then begin
+              out.(i) <- w;
+              tightened := true
+            end
+          done;
+          if !tightened then Interval.Affine.note_tightening ())
   in
   let fbuf = Array.make n I.empty in
   let box_of (x : I.t array) =
@@ -423,13 +410,12 @@ let flow ?(config = default_config) ?prepared ?(t0 = 0.0) ~params ~init ~t_end
   if not (Cache.enabled ()) then jemit ~cached:false (fst (run ()))
   else begin
     let group =
-      Printf.sprintf "flow|%s|%s|%b|%b|%b|%h|%h" (System.digest sys)
+      Printf.sprintf "flow|%s|%s|%b|%b|%h|%h" (System.digest sys)
         (config_fingerprint config)
         (Expr.Tape.enabled ())
-        (* Affine- or TM-tightened tubes must not replay into a
-           BIOMC_NO_AFFINE=1 / BIOMC_NO_TM=1 run (or vice versa). *)
+        (* Affine-tightened tubes must not replay into a
+           BIOMC_NO_AFFINE=1 run (or vice versa). *)
         (Interval.Affine.enabled ())
-        (Interval.Tm.enabled ())
         t0 t_end
     in
     let key = Box.join params init in

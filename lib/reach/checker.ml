@@ -59,6 +59,7 @@ let jbounds b =
 let journal_flags jobs =
   [ ("newton", string_of_bool (Icp.Deriv.enabled ()));
     ("affine", string_of_bool (Interval.Affine.enabled ()));
+    ("tm", "false");
     ("cache", string_of_bool (Cache.enabled ()));
     ("tape", string_of_bool (Expr.Tape.enabled ()));
     ("portfolio", string_of_bool (Icp.Portfolio.active ()));

@@ -334,6 +334,7 @@ let synthesize ?(config = default_config) ?strategy prob =
         ~flags:
           [ ("newton", string_of_bool (Icp.Deriv.enabled ()));
             ("affine", string_of_bool (Interval.Affine.enabled ()));
+            ("tm", "false");
             ("cache", string_of_bool (Cache.enabled ()));
             ("tape", string_of_bool (Expr.Tape.enabled ()));
             ("portfolio", string_of_bool (Icp.Portfolio.active ()));

@@ -55,6 +55,13 @@ let the_run forest =
 
 let check_audit forest = Alcotest.(check (list string)) "audit" [] (J.audit forest)
 
+(* The run header's tm flag records whether the run evaluated Taylor
+   models, not the global switch. *)
+let check_tm_flag (run : J.run_info) expected =
+  Alcotest.(check (option string))
+    (run.J.kind ^ " run tm flag") (Some (string_of_bool expected))
+    (List.assoc_opt "tm" run.J.flags)
+
 (* Terminal bounds of a run, excluding empty-box leaves (those are
    dropped from the solver's paving as well). *)
 let leaf_bounds forest run =
@@ -85,6 +92,7 @@ let test_pave_fingerprint jobs () =
   check_audit forest;
   let run = the_run forest in
   Alcotest.(check string) "kind" "pave" run.J.kind;
+  check_tm_flag run (Expr.Tape.enabled () && Interval.Tm.enabled ());
   let lb = leaf_bounds forest run.J.rid in
   Alcotest.(check int) "leaf count" (List.length solver_boxes) (List.length lb);
   Alcotest.(check string)
@@ -127,12 +135,20 @@ let test_explain_decide () =
   J.set_sink J.Memory;
   let f = formula "x^2 + y^2 = 1 and y = x^2" in
   let box = Box.of_list [ ("x", I.make 0.0 2.0); ("y", I.make 0.0 2.0) ] in
-  (match S.decide f box with
+  (* The global TM switch on: decide still runs without Taylor models,
+     and its journal must say so (a portfolio race may include a tm
+     racer, so the pin is for the single-strategy search). *)
+  Interval.Tm.set_enabled true;
+  (match
+     Fun.protect ~finally:Interval.Tm.clear_enabled_override (fun () ->
+         S.decide f box)
+   with
   | S.Delta_sat _ -> ()
   | r -> Alcotest.failf "expected delta-sat, got %a" S.pp_result r);
   let records, forest = load_forest () in
   check_audit forest;
   let run = the_run forest in
+  if not (Icp.Portfolio.active ()) then check_tm_flag run false;
   Alcotest.(check (option string)) "verdict" (Some "delta-sat") run.J.verdict;
   Alcotest.(check bool) "conclusive run is not truncated" false run.J.truncated;
   let sats =
@@ -176,6 +192,7 @@ let test_explain_reach () =
   check_audit forest;
   let run = the_run forest in
   Alcotest.(check string) "kind" "reach" run.J.kind;
+  check_tm_flag run false;
   Alcotest.(check (option string)) "verdict" (Some "delta-sat") run.J.verdict;
   let has_seg =
     List.exists

@@ -1,10 +1,11 @@
 (* Differential tests for the degree-2 Taylor-model layer (Interval.Tm
    and its wiring): TM ranges vs true (sampled) values, the TM tape
    walker vs the interval and affine walkers, the Bernstein range bound,
-   the TM-tightened HC4 revise, TM-on vs TM-off search agreement, and
-   the kill-switch guarantee that BIOMC_NO_TM reproduces the
-   affine-era search bit for bit (leaf sets pinned by fingerprint,
-   including cache interactions). *)
+   the TM-tightened HC4 revise, TM-on vs TM-off search agreement, the
+   kill-switch guarantee that BIOMC_NO_TM reproduces the affine-era
+   paving bit for bit (leaf sets pinned by fingerprint, including cache
+   interactions), and the call-site policy: only pave and tm racers
+   evaluate Taylor models. *)
 
 module I = Interval.Ia
 module TM = Interval.Tm
@@ -350,6 +351,16 @@ let decide_cases =
       "x^2 + y^2 = 1 and x*y = 1/2",
       box [ ("x", 0.0, 2.0); ("y", 0.0, 2.0) ] ) ]
 
+(* Decide runs Taylor models only through a portfolio racer that asks
+   for them, so the differential pins the tm-bisect racer against the
+   same racer with its tm axis off (plain hc4 bisection). *)
+let tm_bisect =
+  List.find
+    (fun s -> s.Icp.Portfolio.name = "tm-bisect")
+    (Icp.Portfolio.curated ())
+
+let no_tm_bisect = { tm_bisect with Icp.Portfolio.tm = false }
+
 let test_decide_on_vs_off () =
   List.iter
     (fun (name, fs, bx) ->
@@ -357,11 +368,9 @@ let test_decide_on_vs_off () =
       List.iter
         (fun jobs ->
           let config = { S.default_config with jobs } in
-          let on =
-            with_tm true (fun () -> verdict_kind (S.decide ~config f bx))
-          in
+          let on = verdict_kind (S.decide ~config ~strategy:tm_bisect f bx) in
           let off =
-            with_tm false (fun () -> verdict_kind (S.decide ~config f bx))
+            verdict_kind (S.decide ~config ~strategy:no_tm_bisect f bx)
           in
           Alcotest.(check string)
             (Printf.sprintf "%s at jobs=%d" name jobs)
@@ -388,8 +397,23 @@ let test_pave_on_vs_off () =
   in
   let bx = box [ ("x", 0.0, 2.0); ("y", 0.0, 2.0) ] in
   let config jobs = { S.default_config with S.epsilon = 0.05; jobs } in
-  let p_on = with_tm true (fun () -> S.pave ~config:(config 1) f bx) in
-  let p_off = with_tm false (fun () -> S.pave ~config:(config 1) f bx) in
+  let tightenings = Telemetry.Counter.make ~always:true "tm.tightenings" in
+  let before = Telemetry.Counter.value tightenings in
+  let p_on, s_on =
+    with_tm true (fun () -> S.pave_with_stats ~config:(config 1) f bx)
+  in
+  (* Pave is where Taylor models still run: the certifier tightens
+     atoms, and the paving needs fewer boxes than without it. *)
+  Alcotest.(check bool) "tm.tightenings advanced" true
+    (Telemetry.Counter.value tightenings > before);
+  let p_off, s_off =
+    with_tm false (fun () -> S.pave_with_stats ~config:(config 1) f bx)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "fewer boxes with TM (%d on vs %d off)"
+       s_on.S.boxes_processed s_off.S.boxes_processed)
+    true
+    (s_on.S.boxes_processed < s_off.S.boxes_processed);
   let contradicts sats unsats =
     List.exists
       (fun s -> List.exists (fun u -> Box.volume (Box.inter s u) > 0.0) unsats)
@@ -437,18 +461,23 @@ let stats_tuple (s : S.stats) =
   (s.S.boxes_processed, s.S.splits, s.S.prunings, s.S.max_depth,
    s.S.certifications)
 
+(* The TM-era run in the middle is the tm-bisect racer (default decide
+   never evaluates Taylor models); its HC4 and refutation entries must
+   not leak into the default search around it. *)
 let test_killswitch_decide_bitforbit () =
   List.iter
     (fun (name, fs, bx) ->
       let f = P.formula fs in
-      let run on =
-        with_tm on (fun () ->
+      let run () =
+        with_tm false (fun () ->
             let r, stats = S.decide_with_stats f bx in
             (verdict_kind r, stats_tuple stats))
       in
-      let v1, s1 = run false in
-      let _ = run true in
-      let v2, s2 = run false in
+      let v1, s1 = run () in
+      let _ =
+        with_tm true (fun () -> S.decide_with_stats ~strategy:tm_bisect f bx)
+      in
+      let v2, s2 = run () in
       Alcotest.(check string) (name ^ ": off verdict reproduced") v1 v2;
       Alcotest.(check bool)
         (name ^ ": off stats reproduced (no cache leakage)") true (s1 = s2))
@@ -486,6 +515,73 @@ let test_killswitch_pave_bitforbit () =
       ("unsat", p1.S.unsat, p2.S.unsat);
       ("undecided", p1.S.undecided, p2.S.undecided) ]
 
+(* ---- call-site policy: TM only where it pays ---- *)
+
+let with_cache_off f =
+  Cache.set_policy Cache.Off;
+  Fun.protect ~finally:Cache.clear_policy_override f
+
+(* ODE flows never evaluate Taylor models: the global switch must not
+   change a single tube bound (caches off, or the second flow would be
+   a replay of the first). *)
+let test_flow_ignores_tm () =
+  with_cache_off @@ fun () ->
+  let sys =
+    Ode.System.of_strings ~vars:[ "x"; "y" ] ~params:[ "k" ]
+      ~rhs:[ ("x", "x*(1 - x) - k*x*y"); ("y", "k*x*y - y/2") ]
+  in
+  let params = box [ ("k", 0.9, 1.1) ] in
+  let init = box [ ("x", 0.2, 0.35); ("y", 0.1, 0.15) ] in
+  let run on =
+    with_tm on (fun () -> Ode.Enclosure.flow ~params ~init ~t_end:2.0 sys)
+  in
+  let a = run true and b = run false in
+  let module E = Ode.Enclosure in
+  Alcotest.(check bool) "same completeness" a.E.complete b.E.complete;
+  Alcotest.(check (float 0.0)) "same t_end" a.E.t_end b.E.t_end;
+  Alcotest.(check bool) "final box bit-identical" true
+    (Box.equal a.E.final b.E.final);
+  Alcotest.(check int) "same step count" (List.length a.E.steps)
+    (List.length b.E.steps);
+  List.iter2
+    (fun (sa : E.step) (sb : E.step) ->
+      if
+        not
+          (sa.E.t_lo = sb.E.t_lo && sa.E.t_hi = sb.E.t_hi
+          && Box.equal sa.E.enclosure sb.E.enclosure
+          && Box.equal sa.E.at_end sb.E.at_end)
+      then
+        Alcotest.failf "step [%g, %g] differs with TM on" sa.E.t_lo sa.E.t_hi)
+    a.E.steps b.E.steps
+
+let tm_span_count () =
+  match List.assoc_opt "icp.tm" (Telemetry.Metrics.histograms ()) with
+  | Some s -> s.Telemetry.Histogram.count
+  | None -> 0
+
+(* A default-config decide (portfolio off) never enters the TM pass,
+   whatever the switch says: the icp.tm span does not advance. *)
+let test_decide_makes_no_tm_evaluations () =
+  Icp.Portfolio.set_mode Icp.Portfolio.Off;
+  let metrics = Telemetry.metrics_on () in
+  Telemetry.set_metrics true;
+  Fun.protect
+    ~finally:(fun () ->
+      Telemetry.set_metrics metrics;
+      Icp.Portfolio.clear_mode_override ())
+  @@ fun () ->
+  with_cache_off @@ fun () ->
+  with_tm true @@ fun () ->
+  let before = tm_span_count () in
+  List.iter (fun (_, fs, bx) -> ignore (S.decide (P.formula fs) bx)) decide_cases;
+  Alcotest.(check int) "icp.tm spans during decide" before (tm_span_count ());
+  (* The span is live: the racer that asks for TM does advance it
+     (Taylor models need the tape path). *)
+  let _, fs, bx = List.nth decide_cases 3 in
+  ignore (S.decide ~strategy:tm_bisect (P.formula fs) bx);
+  Alcotest.(check bool) "tm-bisect racer evaluates TM" (Expr.Tape.enabled ())
+    (tm_span_count () > before)
+
 let () =
   Alcotest.run "tm"
     [ ( "soundness",
@@ -514,4 +610,9 @@ let () =
         [ Alcotest.test_case "decide off-run reproduced" `Quick
             test_killswitch_decide_bitforbit;
           Alcotest.test_case "pave off-run fingerprint reproduced" `Quick
-            test_killswitch_pave_bitforbit ] ) ]
+            test_killswitch_pave_bitforbit ] );
+      ( "call-site policy",
+        [ Alcotest.test_case "flow tubes ignore the TM switch" `Quick
+            test_flow_ignores_tm;
+          Alcotest.test_case "default decide makes no TM evaluations" `Quick
+            test_decide_makes_no_tm_evaluations ] ) ]
