@@ -185,24 +185,11 @@ let no_affine_arg =
 let no_tm_arg =
   let doc =
     "Disable degree-2 Taylor models in pave (sat-certification and \
-     its infeasibility contractor) and in the portfolio's tm racers, \
-     restoring the affine-era paving; decide, reach, synth and ODE \
-     enclosures never use them.  Equivalent to BIOMC_NO_TM=1."
+     its infeasibility contractor), restoring the affine-era paving; \
+     decide, reach, synth and ODE enclosures never use them.  \
+     Equivalent to BIOMC_NO_TM=1."
   in
   Arg.(value & flag & info [ "no-tm" ] ~doc)
-
-let portfolio_arg =
-  let doc =
-    "Race solver strategy configurations per query (first conclusive \
-     verdict wins, racers share refutation stores).  $(docv) is \
-     'curated' (the default 4-strategy lineup, also spelled 'on') or \
-     'all' (the full strategy product); equivalent to BIOMC_PORTFOLIO.  \
-     BIOMC_NO_PORTFOLIO=1 kill-switches the portfolio regardless."
-  in
-  Arg.(
-    value
-    & opt ~vopt:(Some "curated") (some string) None
-    & info [ "portfolio" ] ~docv:"MODE" ~doc)
 
 let apply_cache_policy no_cache =
   if no_cache then Cache.set_policy Cache.Off
@@ -211,7 +198,8 @@ let apply_cache_policy no_cache =
    cache-assisted analyses. *)
 let cache_line () = Report.text "%s" (Cache.summary ())
 
-(* ---- common analysis flags (solve / reach / smc / synth) ---- *)
+(* ---- common analysis flags (solve / reach / smc / synth / robustness /
+   therapy / stability) ---- *)
 
 type common = {
   jobs : int;
@@ -219,7 +207,6 @@ type common = {
   no_newton : bool;
   no_affine : bool;
   no_tm : bool;
-  portfolio : string option;  (** strategy-portfolio mode (curated/all) *)
   trace : string option;  (** Chrome trace_event JSON output file *)
   metrics : bool;  (** print the telemetry metrics section *)
   metrics_json : string option;  (** also write the metrics as JSON *)
@@ -264,20 +251,20 @@ let journal_arg =
 let progress_arg =
   let doc =
     "Print a rate-limited progress heartbeat to stderr while the \
-     analysis runs (boxes/sec, prunings, cache hit rate, portfolio \
-     leader).  Purely observational."
+     analysis runs (boxes/sec, prunings, cache hit rate).  Purely \
+     observational."
   in
   Arg.(value & flag & info [ "progress" ] ~doc)
 
 let common_term =
-  let mk jobs no_cache no_newton no_affine no_tm portfolio trace metrics
-      metrics_json metrics_prom journal progress =
-    { jobs; no_cache; no_newton; no_affine; no_tm; portfolio; trace; metrics;
+  let mk jobs no_cache no_newton no_affine no_tm trace metrics metrics_json
+      metrics_prom journal progress =
+    { jobs; no_cache; no_newton; no_affine; no_tm; trace; metrics;
       metrics_json; metrics_prom; journal; progress }
   in
   Term.(
     const mk $ jobs_arg $ no_cache_arg $ no_newton_arg $ no_affine_arg
-    $ no_tm_arg $ portfolio_arg $ trace_arg $ metrics_arg $ metrics_json_arg
+    $ no_tm_arg $ trace_arg $ metrics_arg $ metrics_json_arg
     $ metrics_prom_arg $ journal_arg $ progress_arg)
 
 (* Telemetry section appended to a report when metrics are on: non-zero
@@ -317,10 +304,6 @@ let with_common c body =
   if c.no_newton then Icp.Deriv.set_enabled false;
   if c.no_affine then Interval.Affine.set_enabled false;
   if c.no_tm then Interval.Tm.set_enabled false;
-  (match c.portfolio with
-  | None -> ()
-  | Some "all" -> Icp.Portfolio.set_mode Icp.Portfolio.All
-  | Some _ -> Icp.Portfolio.set_mode Icp.Portfolio.Curated);
   if c.metrics || c.metrics_json <> None || c.metrics_prom <> None then
     Telemetry.set_metrics true;
   if c.trace <> None then begin
@@ -348,12 +331,7 @@ let with_common c body =
       e
   | Ok items ->
       finish_observers ();
-      let winner_items =
-        match Icp.Portfolio.last_winner () with
-        | Some name -> [ Report.winner name ]
-        | None -> []
-      in
-      Report.print (items @ winner_items @ telemetry_items ());
+      Report.print (items @ telemetry_items ());
       (match c.metrics_json with
       | Some path ->
           let oc = open_out path in
@@ -446,7 +424,8 @@ let reach_cmd =
 
 (* ---- robustness ---- *)
 
-let robustness () lo hi steps =
+let robustness () lo hi steps common =
+  with_common common @@ fun () ->
   let make (a, b) =
     Biomodels.Bueno_cherry_fenton.automaton ~stimulus:a ~stimulus_width:(b -. a) ()
   in
@@ -455,16 +434,16 @@ let robustness () lo hi steps =
   let ranges =
     List.init steps (fun i -> (lo +. (width *. float_of_int i), lo +. (width *. float_of_int (i + 1))))
   in
+  let config = { Reach.Checker.default_config with jobs = common.jobs } in
   let rows =
     List.map
       (fun ((a, b), v) ->
         [ Fmt.str "[%.3f, %.3f]" a b; Fmt.str "%a" Core.Robustness.pp_verdict v ])
-      (Core.Robustness.sweep ~goal ~k:3 ~time_bound:100.0 make ranges)
+      (Core.Robustness.sweep ~config ~goal ~k:3 ~time_bound:100.0 make ranges)
   in
-  Report.print
+  Ok
     [ Report.heading "Cardiac stimulation robustness (BCF)";
-      Report.table ~header:[ "stimulus range"; "verdict" ] rows ];
-  Ok ()
+      Report.table ~header:[ "stimulus range"; "verdict" ] rows ]
 
 let robustness_cmd =
   let lo =
@@ -478,34 +457,40 @@ let robustness_cmd =
   in
   let info =
     Cmd.info "robustness"
-      ~doc:"Sweep stimulation amplitudes; unsat proves the range is filtered."
+      ~doc:
+        "Sweep stimulation amplitudes; unsat shows the range is filtered — \
+         a proof only when the row is not marked bracketed (a flow \
+         segment fell back to a sampled ensemble bracket)."
   in
-  Cmd.v info Term.(term_result (const robustness $ logs_term $ lo $ hi $ steps))
+  Cmd.v info
+    Term.(
+      term_result (const robustness $ logs_term $ lo $ hi $ steps $ common_term))
 
 (* ---- therapy ---- *)
 
-let therapy () =
+let therapy () common =
+  with_common common @@ fun () ->
   let automaton = Biomodels.Tbi.automaton () in
   let param_box =
     Box.of_list [ ("theta1", I.make 0.6 2.0); ("theta2", I.make 0.4 2.0) ]
   in
+  let config = { Reach.Checker.default_config with jobs = common.jobs } in
   let outcome =
-    Core.Therapy.optimize ~param_box
+    Core.Therapy.optimize ~config ~param_box
       ~recovery:(Biomodels.Tbi.recovery_goal ())
       ~harm:(Biomodels.Tbi.death_goal ())
       ~max_jumps:4 ~time_bound:40.0 automaton
   in
-  Report.print
+  Ok
     [ Report.heading "TBI combination-therapy synthesis";
-      Report.text "%s" (Fmt.str "%a" Core.Therapy.pp_outcome outcome) ];
-  Ok ()
+      Report.text "%s" (Fmt.str "%a" Core.Therapy.pp_outcome outcome) ]
 
 let therapy_cmd =
   let info =
     Cmd.info "therapy"
       ~doc:"Synthesize a minimal-drug treatment scheme for the TBI model."
   in
-  Cmd.v info Term.(term_result (const therapy $ logs_term))
+  Cmd.v info Term.(term_result (const therapy $ logs_term $ common_term))
 
 (* ---- stability ---- *)
 
@@ -515,7 +500,8 @@ let classic_systems =
     ("proofreading", Biomodels.Classics.proofreading);
     ("erk", Biomodels.Classics.erk_cascade) ]
 
-let stability () name =
+let stability () name common =
+  with_common common @@ fun () ->
   match List.assoc_opt name classic_systems with
   | None ->
       Error
@@ -524,11 +510,17 @@ let stability () name =
              (String.concat ", " (List.map fst classic_systems))))
   | Some sys ->
       let region = Biomodels.Classics.unit_box (Ode.System.vars sys) in
-      let r = Core.Stability.prove ~region sys in
-      Report.print
+      let solver (c : Icp.Solver.config) = { c with jobs = common.jobs } in
+      let config =
+        let d = Lyapunov.Cegis.default_config in
+        { d with
+          exists_solver = solver d.exists_solver;
+          forall_solver = solver d.forall_solver }
+      in
+      let r = Core.Stability.prove ~config ~region sys in
+      Ok
         [ Report.heading (Printf.sprintf "Lyapunov stability: %s" name);
-          Report.text "%s" (Fmt.str "%a" Core.Stability.pp_report r) ];
-      Ok ()
+          Report.text "%s" (Fmt.str "%a" Core.Stability.pp_report r) ]
 
 let stability_cmd =
   let sys_arg =
@@ -540,7 +532,8 @@ let stability_cmd =
   let info =
     Cmd.info "stability" ~doc:"Synthesize a Lyapunov certificate by CEGIS."
   in
-  Cmd.v info Term.(term_result (const stability $ logs_term $ sys_arg))
+  Cmd.v info
+    Term.(term_result (const stability $ logs_term $ sys_arg $ common_term))
 
 (* ---- smc ---- *)
 

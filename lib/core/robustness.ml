@@ -3,20 +3,26 @@
    "Cardiac cells filter out insignificant stimulations": a system is
    robust to an input range when the response goal is *unreachable* from
    every initial state in the range — an `unsat` answer is a proof of
-   robustness (the paper's key observation).  Conversely a certified
-   δ-sat witness shows the range can trigger the response.
+   robustness (the paper's key observation) when every flow segment it
+   used was a validated tube.  A segment that fell back to a sampled
+   ensemble bracket leaves the answer [rigorous = false]: evidence, not
+   a proof.  Conversely a certified δ-sat witness shows the range can
+   trigger the response.
 
    The input range is modelled as the initial box of the automaton; the
    sweep classifies a ladder of ranges and locates the excitability
    threshold as the verdict crossover. *)
 
 type verdict =
-  | Robust  (** response unreachable from the whole range: proof *)
+  | Robust of { rigorous : bool }
+      (** response unreachable from the whole range; a proof only when
+          [rigorous] *)
   | Excitable of (string * float) list  (** certified triggering witness *)
   | Borderline of string  (** uncertified δ-sat or solver budget exhausted *)
 
 let pp_verdict ppf = function
-  | Robust -> Fmt.string ppf "robust (unsat)"
+  | Robust { rigorous = true } -> Fmt.string ppf "robust (unsat)"
+  | Robust { rigorous = false } -> Fmt.string ppf "robust (unsat, bracketed)"
   | Excitable w ->
       Fmt.pf ppf "excitable (witness %a)"
         Fmt.(list ~sep:(any ", ") (pair ~sep:(any "=") string float))
@@ -29,7 +35,7 @@ let classify ?config ~goal ~k ~time_bound make range =
   let automaton = make range in
   let pb = Reach.Encoding.create ~goal ~k ~time_bound automaton in
   match Reach.Checker.check ?config pb with
-  | Reach.Checker.Unsat _ -> Robust
+  | Reach.Checker.Unsat { rigorous } -> Robust { rigorous }
   | Reach.Checker.Delta_sat w when w.Reach.Checker.certified ->
       Excitable (w.Reach.Checker.params @ w.Reach.Checker.init)
   | Reach.Checker.Delta_sat _ -> Borderline "uncertified delta-sat"
@@ -47,7 +53,7 @@ let threshold ?config ~goal ~k ~time_bound ~lo ~hi ?(tol = 1e-2) make =
   let is_excitable a =
     match classify ?config ~goal ~k ~time_bound make a with
     | Excitable _ -> true
-    | Robust | Borderline _ -> false
+    | Robust _ | Borderline _ -> false
   in
   if is_excitable lo then Some lo
   else if not (is_excitable hi) then None

@@ -1,9 +1,15 @@
 (** Time-bounded robustness analysis (Sec. IV-C): an `unsat` answer
-    proves the system filters out a whole range of inputs.  The input
-    range is the initial box of the automaton built by the caller. *)
+    shows the system filters out a whole range of inputs.  It is a proof
+    only when every flow segment behind it was a validated tube; when a
+    segment fell back to a sampled ensemble bracket the verdict is
+    [Robust { rigorous = false }].  The input range is the initial box
+    of the automaton built by the caller. *)
 
 type verdict =
-  | Robust  (** response unreachable from the whole range: a proof *)
+  | Robust of { rigorous : bool }
+      (** response unreachable from the whole range; [rigorous] is the
+          checker's flag ({!Reach.Checker.result}): a proof when [true],
+          a bracketed (sampled) answer when [false] *)
   | Excitable of (string * float) list  (** certified triggering witness *)
   | Borderline of string
 
@@ -40,3 +46,4 @@ val threshold :
 (** Bisection on a scalar amplitude, assuming monotone excitability. *)
 
 val pp_verdict : verdict Fmt.t
+(** A non-rigorous [Robust] prints as [robust (unsat, bracketed)]. *)

@@ -406,26 +406,14 @@ let hc4_cache : Box.t option Cache.t = Cache.create ~group_capacity:1024 "hc4"
    tree-walking otherwise.  The closure is safe to share across worker
    domains (tapes are immutable; scratch is per-domain via Domain.DLS;
    the cache shards are mutex-guarded). *)
-let contractor ?tol ?max_rounds ?newton:newton_req ?affine:affine_req
-    ?(tm = false) constraints =
+let contractor ?tol ?max_rounds ?(tm = false) constraints =
   let tape = Expr.Tape.enabled () in
   (* Affine- and TM-tightened forward passes only exist on the tape
      path (the tree walker has no slot arrays to intersect into);
      sampled at build time like [tape] so the closure and its cache
-     group stay consistent.  [?affine] / [?newton] override the global
-     switches for this closure only — portfolio racers need
-     per-strategy layer choices without flipping process-wide atomics
-     under each other — and key the cache group exactly like the
-     sampled globals would, so per-strategy closures share groups with
-     same-flag global runs.  The Taylor-model pass is opt-in per call
-     site ([?tm], default off): only pave and tm racers ask for it. *)
-  let affine =
-    tape
-    &&
-    match affine_req with
-    | Some b -> b
-    | None -> Interval.Affine.enabled ()
-  in
+     group stay consistent.  The Taylor-model pass is opt-in per call
+     site ([?tm], default off): only pave asks for it. *)
+  let affine = tape && Interval.Affine.enabled () in
   let tm = tape && tm in
   let base =
     if tape then begin
@@ -440,10 +428,7 @@ let contractor ?tol ?max_rounds ?newton:newton_req ?affine:affine_req
      flag is sampled at build time — like [tape] — so the closure and
      its cache group stay consistent for their whole lifetime. *)
   let newton =
-    let wanted =
-      match newton_req with Some b -> b | None -> Deriv.enabled ()
-    in
-    if wanted then
+    if Deriv.enabled () then
       Deriv.compile (List.map (fun c -> (c.term, c.target)) constraints)
     else None
   in

@@ -67,8 +67,6 @@ val fixpoint_compiled :
 val contractor :
   ?tol:float ->
   ?max_rounds:int ->
-  ?newton:bool ->
-  ?affine:bool ->
   ?tm:bool ->
   constr list ->
   Interval.Box.t ->
@@ -86,13 +84,8 @@ val contractor :
     closure may be shared across worker domains: tapes are immutable
     and scratch buffers are per-domain.
 
-    [?newton] / [?affine] pin the respective layer on or off for this
-    closure, overriding the global switches — portfolio racers build
-    per-strategy contractors this way, without flipping process-wide
-    state under concurrent racers.  [?tm] (default [false], whatever
-    the global switch says) adds the Taylor-model pass; only pave and
-    the portfolio's tm racers ask for it.  The affine and
-    Taylor-model passes still require the tape path: [~affine:true] /
-    [~tm:true] are ignored under [BIOMC_NO_TAPE=1].  The HC4 cache
-    group keys on the effective flags, exactly as for
-    globally-switched closures. *)
+    [?tm] (default [false], whatever the global switch says) adds the
+    Taylor-model pass; only pave asks for it.  The affine and
+    Taylor-model passes require the tape path: both are off under
+    [BIOMC_NO_TAPE=1].  The HC4 cache group keys on the effective
+    flags. *)

@@ -3,8 +3,7 @@
     Stdlib-only parallel building blocks for the branch-and-prune
     analyses: fork/join over logical workers ({!run}), a cancellable
     work-stealing frontier ({!Frontier}), per-worker budget leases
-    ({!Lease}), static chunked fan-out ({!parallel_for_chunks}), and
-    portfolio races ({!first_conclusive}).
+    ({!Lease}) and static chunked fan-out ({!parallel_for_chunks}).
 
     {2 Determinism contracts}
 
@@ -21,20 +20,6 @@
 
 val default_jobs : unit -> int
 (** [Domain.recommended_domain_count ()] clamped to [1, 8]. *)
-
-val workstealing_enabled : unit -> bool
-(** Whether the work-stealing scheduler (per-worker deques, budget
-    leases with chunk > 1, adaptive SMC batches) is active.  Defaults to
-    [true] unless the environment sets [BIOMC_NO_WORKSTEAL=1] (or
-    [true]/[yes]), which restores the PR-1 monitor frontier and per-box
-    budget spends bit-for-bit. *)
-
-val set_workstealing : bool -> unit
-(** Programmatic override (tests, benches); wins over the environment.
-    Affects frontiers and leases created {e after} the call. *)
-
-val clear_workstealing_override : unit -> unit
-(** Drop the {!set_workstealing} override and re-read the environment. *)
 
 val domain_cap : unit -> int
 (** Hardware domain budget: how many domains {!run} keeps runnable at
@@ -61,11 +46,11 @@ val run : jobs:int -> (int -> 'a) -> 'a array
 
 (** A shared pool of independent work items, drained concurrently.
 
-    Work-stealing by default: each worker owns a {!Deque}, pushes
-    follow-up items locally (LIFO, so the search stays depth-first-ish),
-    and steals the oldest half of a seeded-randomly chosen victim when
-    dry.  Under [BIOMC_NO_WORKSTEAL=1] the frontier is the historical
-    single monitor queue instead; the API is identical. *)
+    Work-stealing: each worker owns a {!Deque}, pushes follow-up items
+    locally (LIFO, so the search stays depth-first-ish), and steals the
+    oldest half of a seeded-randomly chosen victim when dry.  On one
+    effective domain the workers run back to back on the calling domain
+    with no synchronization (the sequential drive). *)
 module Frontier : sig
   type 'a t
 
@@ -110,9 +95,7 @@ end
     exceeds [total], and unspent units are returned by
     {!Lease.return_unspent} — the only slack being that exhaustion can
     be declared up to [jobs * chunk] units early while other workers
-    hold unspent leases.  Under [BIOMC_NO_WORKSTEAL=1] the chunk is
-    forced to 1, which is exactly the historical per-box
-    [Atomic.fetch_and_add]. *)
+    hold unspent leases. *)
 module Lease : sig
   type t
   (** The shared budget. *)
@@ -151,36 +134,4 @@ val parallel_for_chunks : jobs:int -> int -> (int -> int -> int -> 'a) -> 'a arr
 (** [parallel_for_chunks ~jobs n f] runs [f w lo hi] per worker on its
     {!chunk}; [jobs] is clamped to [n] so no worker gets an empty slice
     unless [n = 0].
-    @raise Invalid_argument when [jobs < 1]. *)
-
-val first_conclusive :
-  jobs:int ->
-  ?leases:Lease.local array ->
-  (cancelled:(unit -> bool) -> conclude:('a -> unit) -> unit) list ->
-  'a option
-(** Portfolio execution: run the tasks concurrently; the first task that
-    calls [conclude v] wins and stops the frontier {e immediately} —
-    losing racers observe [cancelled () = true] while the winner's thunk
-    is still unwinding.  Returns the winning value, or [None] when no
-    task concluded.  Later [conclude]s lose the race and are ignored.
-
-    [?leases] attaches a per-racer budget lease-local to each task
-    (index-aligned with the task list).  Each local is
-    {!Lease.return_unspent}-ed the moment its racer settles — normal
-    completion {e or} cancellation — so {!Lease.consumed} on each
-    racer's shared budget is exact as soon as [first_conclusive]
-    returns, including for racers the winner cancelled mid-run or cut
-    out of the queue before they ever ran.
-
-    The always-on [portfolio.cancel_latency_ns] telemetry counter
-    accumulates, per losing racer, the nanoseconds between the winner's
-    [conclude] and that racer settling.
-
-    On a single effective domain the tasks run to completion in list
-    order (the frontier's sequential drive), so the winner is the first
-    task in list order that concludes — deterministic.  At true
-    concurrency the winner is timing-dependent; callers wanting a
-    deterministic verdict merge over near-simultaneous concludes should
-    record per-racer results and merge by rank after the race (see
-    [Icp.Portfolio]).
     @raise Invalid_argument when [jobs < 1]. *)

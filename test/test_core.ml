@@ -221,17 +221,42 @@ let bcf_goal = Biomodels.Bueno_cherry_fenton.excitation_goal ()
 
 let test_robustness_classify () =
   (match Ro.classify ~goal:bcf_goal ~k:3 ~time_bound:100.0 bcf_make (0.0, 0.05) with
-  | Ro.Robust -> ()
+  | Ro.Robust _ -> ()
   | v -> Alcotest.failf "low range should be robust, got %s" (Fmt.str "%a" Ro.pp_verdict v));
   match Ro.classify ~goal:bcf_goal ~k:3 ~time_bound:100.0 bcf_make (0.35, 0.4) with
   | Ro.Excitable _ -> ()
   | v -> Alcotest.failf "high range should excite, got %s" (Fmt.str "%a" Ro.pp_verdict v)
 
+(* The low stimulus range is robust, but its flows fall back to sampled
+   ensemble brackets: the verdict must say bracketed, not proof. *)
+let test_robustness_low_range_bracketed () =
+  match Ro.classify ~goal:bcf_goal ~k:3 ~time_bound:100.0 bcf_make (0.0, 0.05) with
+  | Ro.Robust { rigorous = false } as v ->
+      Alcotest.(check string) "report text" "robust (unsat, bracketed)"
+        (Fmt.str "%a" Ro.pp_verdict v)
+  | v ->
+      Alcotest.failf "expected a bracketed robust verdict, got %s"
+        (Fmt.str "%a" Ro.pp_verdict v)
+
+(* The CLI's --jobs reaches the checker through [?config]: a parallel
+   path search must classify both ranges exactly as the sequential one. *)
+let test_robustness_jobs_agree () =
+  let config = { Reach.Checker.default_config with jobs = 2 } in
+  let classify range =
+    Fmt.str "%a" Ro.pp_verdict
+      (Ro.classify ~config ~goal:bcf_goal ~k:3 ~time_bound:100.0 bcf_make range)
+  in
+  Alcotest.(check string) "low range at jobs=2" "robust (unsat, bracketed)"
+    (classify (0.0, 0.05));
+  match Ro.classify ~config ~goal:bcf_goal ~k:3 ~time_bound:100.0 bcf_make (0.35, 0.4) with
+  | Ro.Excitable _ -> ()
+  | v -> Alcotest.failf "high range should excite at jobs=2, got %s" (Fmt.str "%a" Ro.pp_verdict v)
+
 let test_robustness_sweep_crossover () =
   let ranges = [ (0.0, 0.1); (0.1, 0.2); (0.32, 0.42) ] in
   let results = Ro.sweep ~goal:bcf_goal ~k:3 ~time_bound:100.0 bcf_make ranges in
   (match results with
-  | [ (_, Ro.Robust); (_, Ro.Robust); (_, Ro.Excitable _) ] -> ()
+  | [ (_, Ro.Robust _); (_, Ro.Robust _); (_, Ro.Excitable _) ] -> ()
   | _ ->
       Alcotest.failf "unexpected sweep: %s"
         (String.concat "; "
@@ -291,6 +316,9 @@ let () =
       ( "robustness",
         [
           Alcotest.test_case "classify" `Quick test_robustness_classify;
+          Alcotest.test_case "low range bracketed" `Quick
+            test_robustness_low_range_bracketed;
+          Alcotest.test_case "jobs 2 agrees" `Quick test_robustness_jobs_agree;
           Alcotest.test_case "sweep crossover" `Slow test_robustness_sweep_crossover;
           Alcotest.test_case "threshold bisection" `Slow test_robustness_threshold_bisection;
         ] );

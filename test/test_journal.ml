@@ -136,8 +136,7 @@ let test_explain_decide () =
   let f = formula "x^2 + y^2 = 1 and y = x^2" in
   let box = Box.of_list [ ("x", I.make 0.0 2.0); ("y", I.make 0.0 2.0) ] in
   (* The global TM switch on: decide still runs without Taylor models,
-     and its journal must say so (a portfolio race may include a tm
-     racer, so the pin is for the single-strategy search). *)
+     and its journal must say so. *)
   Interval.Tm.set_enabled true;
   (match
      Fun.protect ~finally:Interval.Tm.clear_enabled_override (fun () ->
@@ -148,7 +147,7 @@ let test_explain_decide () =
   let records, forest = load_forest () in
   check_audit forest;
   let run = the_run forest in
-  if not (Icp.Portfolio.active ()) then check_tm_flag run false;
+  check_tm_flag run false;
   Alcotest.(check (option string)) "verdict" (Some "delta-sat") run.J.verdict;
   Alcotest.(check bool) "conclusive run is not truncated" false run.J.truncated;
   let sats =
@@ -296,6 +295,48 @@ let test_audit_rejects_impossible_reason () =
   Alcotest.(check bool) "impossible prune reason is flagged" true
     (problems <> [])
 
+(* Completeness is enforced on every unsat decide run: a refutation
+   must cover the whole box.  A delta-sat decide stops at its witness,
+   so unexplored children are expected there. *)
+let test_audit_unsat_decide_complete () =
+  let decide verdict =
+    audit_of (fun () ->
+        let r = J.begin_run ~kind:"decide" ~flags:[] () in
+        let root = J.fresh_id () in
+        J.root ~id:root (b1 0.0 1.0);
+        J.enter ~id:root ~depth:0;
+        let l = J.fresh_id () and rt = J.fresh_id () in
+        J.split ~id:root ~heur:"bisect" ~left:l ~right:rt
+          ~left_bounds:(b1 0.0 0.5) ~right_bounds:(b1 0.5 1.0);
+        J.enter ~id:l ~depth:1;
+        J.prune ~id:l ~reason:"hc4-empty" ();
+        J.end_run ~verdict r)
+  in
+  Alcotest.(check bool) "unsat decide with an open child is flagged" true
+    (decide "unsat" <> []);
+  Alcotest.(check (list string)) "delta-sat decide may stop early" []
+    (decide "delta-sat")
+
+(* Records of a kind the schema does not know (e.g. the retired
+   strategy-race [racer] events) are rejected, not skipped. *)
+let test_rejects_unknown_kind () =
+  let line = {|{"d":0,"q":1,"k":"racer","r":1,"e":"start","s":"bisect"}|} in
+  (match J.parse_line line with
+  | Error e ->
+      Alcotest.(check bool) "names the kind" true (contains e "racer")
+  | Ok _ -> Alcotest.fail "unknown record kind accepted");
+  J.set_sink J.Memory;
+  J.reset ();
+  let r = J.begin_run ~kind:"pave" ~flags:[] () in
+  J.end_run ~verdict:"ok" r;
+  let good = J.contents () in
+  (match J.of_string good with
+  | Ok records -> Alcotest.(check int) "well-formed journal loads" 2 (List.length records)
+  | Error e -> Alcotest.failf "journal parse: %s" e);
+  match J.of_string (good ^ line ^ "\n") with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "journal with an unknown record loaded"
+
 (* ---- disabled mode is a no-op ---- *)
 
 let test_disabled_noop () =
@@ -338,7 +379,11 @@ let () =
          Alcotest.test_case "rejects non-partition split" `Quick
            (clean test_audit_rejects_non_partition);
          Alcotest.test_case "rejects impossible prune reason" `Quick
-           (clean test_audit_rejects_impossible_reason) ]);
+           (clean test_audit_rejects_impossible_reason);
+         Alcotest.test_case "unsat decide must be complete" `Quick
+           (clean test_audit_unsat_decide_complete);
+         Alcotest.test_case "rejects unknown record kind" `Quick
+           (clean test_rejects_unknown_kind) ]);
       ("discipline",
        [ Alcotest.test_case "disabled journaling is a no-op" `Quick
            (clean test_disabled_noop) ]) ]

@@ -3,8 +3,8 @@
    δ-decision solver, the paver, the reachability checker, and SMC.
 
    Agreement is on verdict *kinds* (and, where the parallel search is
-   deterministic, on exact leaf sets): which δ-sat witness wins a
-   portfolio race is documented nondeterminism. *)
+   deterministic, on exact leaf sets): which δ-sat witness the parallel
+   search reaches first is documented nondeterminism. *)
 
 module I = Interval.Ia
 module Box = Interval.Box
@@ -38,10 +38,6 @@ let with_domain_cap n f =
   in
   Parallel.Pool.set_domain_cap (Some n);
   Fun.protect ~finally:(fun () -> Parallel.Pool.set_domain_cap saved) f
-
-let with_workstealing b f =
-  Parallel.Pool.set_workstealing b;
-  Fun.protect ~finally:Parallel.Pool.clear_workstealing_override f
 
 (* ---- Pool primitives ---- *)
 
@@ -86,59 +82,143 @@ let test_frontier_stop_discards () =
     true
     (Atomic.get processed < 100)
 
-let test_first_conclusive () =
-  let r =
-    Parallel.Pool.first_conclusive ~jobs:2
-      [ (fun ~cancelled:_ ~conclude:_ -> ());
-        (fun ~cancelled:_ ~conclude -> conclude 42) ]
-  in
-  Alcotest.(check (option int)) "the concluding task wins" (Some 42) r;
-  let none =
-    Parallel.Pool.first_conclusive ~jobs:2
-      [ (fun ~cancelled:_ ~conclude:_ -> ()); (fun ~cancelled:_ ~conclude:_ -> ()) ]
-  in
-  Alcotest.(check (option int)) "no conclusion -> None" None none
+let test_frontier_exception () =
+  (* A raising item stops the frontier; the exception surfaces after the
+     workers joined, on the sequential drive and on real domains. *)
+  List.iter
+    (fun (jobs, cap) ->
+      with_domain_cap cap @@ fun () ->
+      let fr = Parallel.Pool.Frontier.create (List.init 50 Fun.id) in
+      (match
+         Parallel.Pool.Frontier.drain ~jobs fr (fun _w _slot x ->
+             if x = 7 then failwith "item 7")
+       with
+      | exception Failure msg ->
+          Alcotest.(check string)
+            (Printf.sprintf "exception re-raised (jobs=%d cap=%d)" jobs cap)
+            "item 7" msg
+      | () ->
+          Alcotest.failf "jobs=%d cap=%d: expected the item exception" jobs cap);
+      Alcotest.(check bool)
+        (Printf.sprintf "frontier stopped (jobs=%d cap=%d)" jobs cap)
+        true
+        (Parallel.Pool.Frontier.stopped fr))
+    [ (1, 1); (3, 1); (2, 2); (4, 2) ]
 
-let test_first_conclusive_stops_immediately () =
-  (* A winner's [conclude] must stop the frontier while the winner is
-     still running, so queued tasks stop being dequeued at once: task 0
-     concludes (after at least one recorder ran, so the other domain is
-     live) and then stays busy; meanwhile the other worker chews through
-     recorder tasks.  If stop only fired when the winner's thunk
-     returned — the old behaviour — all recorders would run during the
-     winner's busy tail. *)
-  with_domain_cap 2 @@ fun () ->
-  let n = 2_000 in
-  let ran = Atomic.make 0 in
-  let sink = ref 0.0 in
-  let recorder ~cancelled:_ ~conclude:_ =
-    Atomic.incr ran;
-    (* a few microseconds of work per task, so the busy tail below is
-       orders of magnitude longer than the stop latency *)
-    for i = 1 to 1_000 do
-      sink := !sink +. Float.sin (float_of_int i)
-    done
+let test_frontier_push_after_stop () =
+  (* Items pushed after [stop] are dropped, singly or batched. *)
+  List.iter
+    (fun (jobs, cap) ->
+      with_domain_cap cap @@ fun () ->
+      let late = Atomic.make 0 in
+      let fr = Parallel.Pool.Frontier.create [ 0; 1; 2; 3 ] in
+      Parallel.Pool.Frontier.drain ~jobs fr (fun _w slot x ->
+          if x >= 100 then Atomic.incr late
+          else if x = 0 then begin
+            Parallel.Pool.Frontier.stop fr;
+            Parallel.Pool.Frontier.push slot 100;
+            Parallel.Pool.Frontier.push_batch slot [ 101; 102 ]
+          end);
+      Alcotest.(check int)
+        (Printf.sprintf "no late item processed (jobs=%d cap=%d)" jobs cap)
+        0 (Atomic.get late))
+    [ (1, 1); (2, 1); (2, 2) ]
+
+let test_frontier_sequential_order () =
+  (* The sequential drive is the reference schedule the parallel suites
+     compare against: seeds in index order, pushes LIFO, a batch popped
+     head first. *)
+  with_domain_cap 1 @@ fun () ->
+  let order = ref [] in
+  let fr = Parallel.Pool.Frontier.create [ 0; 1; 2 ] in
+  Parallel.Pool.Frontier.drain ~jobs:1 fr (fun w slot x ->
+      order := (w, x) :: !order;
+      if x = 0 then begin
+        Parallel.Pool.Frontier.push slot 10;
+        Parallel.Pool.Frontier.push slot 11
+      end
+      else if x = 11 then Parallel.Pool.Frontier.push_batch slot [ 20; 21; 22 ]);
+  Alcotest.(check (list (pair int int)))
+    "jobs=1 order"
+    (List.map (fun x -> (0, x)) [ 0; 11; 20; 21; 22; 10; 1; 2 ])
+    (List.rev !order);
+  (* jobs=3 on one domain: seeds are dealt round-robin, so worker 0
+     starts on its own seeds 0 and 3 before stealing the rest *)
+  let order = ref [] in
+  let fr = Parallel.Pool.Frontier.create (List.init 6 Fun.id) in
+  Parallel.Pool.Frontier.drain ~jobs:3 fr (fun w _slot x ->
+      order := (w, x) :: !order);
+  let order = List.rev !order in
+  Alcotest.(check (list (pair int int)))
+    "worker 0 drains its own seeds first" [ (0, 0); (0, 3) ]
+    (List.filteri (fun i _ -> i < 2) order);
+  Alcotest.(check (list int))
+    "every seed processed once" (List.init 6 Fun.id)
+    (List.sort compare (List.map snd order))
+
+let test_run_multiplexing () =
+  (* With more workers than the cap, domain d runs workers d, d+doms, ...
+     and worker 0 runs on the calling domain; results stay in worker
+     order whatever the cap. *)
+  let self = (Domain.self () :> int) in
+  with_domain_cap 2 (fun () ->
+      let doms =
+        Parallel.Pool.run ~jobs:5 (fun _w -> (Domain.self () :> int))
+      in
+      Alcotest.(check int) "worker 0 on the caller" self doms.(0);
+      Alcotest.(check bool) "worker 1 on a spawned domain" true (doms.(1) <> self);
+      Array.iteri
+        (fun w d ->
+          Alcotest.(check int)
+            (Printf.sprintf "worker %d shares domain with worker %d" w (w mod 2))
+            doms.(w mod 2) d)
+        doms);
+  let draws cap =
+    with_domain_cap cap @@ fun () ->
+    Parallel.Pool.run ~jobs:5 (fun w ->
+        Random.State.bits (Random.State.make [| 17; w |]))
   in
-  let winner ~cancelled:_ ~conclude =
-    while Atomic.get ran = 0 do
-      Domain.cpu_relax ()
-    done;
-    conclude 1;
-    (* busy tail: long enough for the other worker to drain every
-       remaining recorder if the frontier were still live *)
-    for i = 1 to 20_000_000 do
-      sink := !sink +. float_of_int (i land 7)
-    done
+  let base = draws 1 in
+  List.iter
+    (fun cap ->
+      Alcotest.(check (array int))
+        (Printf.sprintf "per-worker results at cap=%d" cap)
+        base (draws cap))
+    [ 2; 3; 5 ]
+
+let test_argument_validation () =
+  let rejects label f =
+    match f () with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.failf "%s: expected Invalid_argument" label
   in
-  let r =
-    Parallel.Pool.first_conclusive ~jobs:2
-      (winner :: List.init (n - 1) (fun _ -> recorder))
+  rejects "run ~jobs:0" (fun () -> ignore (Parallel.Pool.run ~jobs:0 Fun.id));
+  rejects "drain ~jobs:0" (fun () ->
+      Parallel.Pool.Frontier.drain ~jobs:0
+        (Parallel.Pool.Frontier.create [ 1 ])
+        (fun _ _ _ -> ()));
+  rejects "parallel_for_chunks ~jobs:0" (fun () ->
+      ignore (Parallel.Pool.parallel_for_chunks ~jobs:0 10 (fun _ lo hi -> hi - lo)));
+  rejects "set_domain_cap (Some 0)" (fun () ->
+      Parallel.Pool.set_domain_cap (Some 0));
+  rejects "Lease.create ~chunk:0" (fun () ->
+      ignore (Parallel.Pool.Lease.create ~chunk:0 ~total:10 ()))
+
+let test_for_chunks_clamped () =
+  let slices jobs n =
+    Array.to_list
+      (Parallel.Pool.parallel_for_chunks ~jobs n (fun w lo hi -> (w, lo, hi)))
   in
-  Alcotest.(check (option int)) "winner's value" (Some 1) r;
-  Alcotest.(check bool)
-    (Printf.sprintf "recorders cut short (%d of %d ran)" (Atomic.get ran) (n - 1))
-    true
-    (Atomic.get ran < n - 1)
+  Alcotest.(check (list (triple int int int)))
+    "jobs clamped to n: no empty slice"
+    [ (0, 0, 1); (1, 1, 2); (2, 2, 3) ]
+    (slices 8 3);
+  Alcotest.(check (list (triple int int int)))
+    "n = 0: one empty slice" [ (0, 0, 0) ] (slices 4 0);
+  Alcotest.(check (list (triple int int int)))
+    "uneven split covers the range"
+    [ (0, 0, 3); (1, 3, 6); (2, 6, 10) ]
+    (slices 3 10)
 
 (* ---- Deque primitives ---- *)
 
@@ -243,37 +323,6 @@ let frontier_stress ~jobs ~n () =
   Alcotest.(check bool) "seeds and children each processed exactly once" true
     (Array.for_all (fun c -> c = 1) seen)
 
-let test_first_conclusive_lease_exact () =
-  (* Racer budget leases must be settled exactly at the race's end:
-     winner and losers alike return their unspent chunks — including
-     racers the stop flag cut from the queue unrun — so [consumed]
-     reports actual spends, not chunk takes.  (Before the portfolio
-     work, cancelled racers leaked their last chunk until a caller-side
-     sweep.)  jobs=1 makes the schedule deterministic: task 0 runs and
-     retires, task 1 concludes, task 2 is never dequeued. *)
-  let n = 3 in
-  let leases =
-    Array.init n (fun _ -> Parallel.Pool.Lease.create ~total:1_000 ())
-  in
-  let locals = Array.map Parallel.Pool.Lease.local leases in
-  let spends = [| 5; 7; 0 |] in
-  let tasks =
-    List.init n (fun i ~cancelled:_ ~conclude ->
-        for _ = 1 to spends.(i) do
-          ignore (Parallel.Pool.Lease.spend locals.(i))
-        done;
-        if i = 1 then conclude i)
-  in
-  let r = Parallel.Pool.first_conclusive ~jobs:1 ~leases:locals tasks in
-  Alcotest.(check (option int)) "rank-1 racer wins" (Some 1) r;
-  Array.iteri
-    (fun i lease ->
-      Alcotest.(check int)
-        (Printf.sprintf "lease %d consumption exact" i)
-        spends.(i)
-        (Parallel.Pool.Lease.consumed lease))
-    leases
-
 (* ---- Budget leases ---- *)
 
 let test_lease_exact_consumption () =
@@ -321,19 +370,37 @@ let test_lease_partial_return () =
   done;
   Alcotest.(check int) "remainder spendable" 970 !n
 
-let test_lease_legacy_chunk_one () =
-  (* With work-stealing disabled the lease degenerates to the historical
-     per-box atomic: chunk forced to 1, same exact accounting. *)
-  with_workstealing false @@ fun () ->
-  let lease = Parallel.Pool.Lease.create ~chunk:64 ~total:100 () in
-  let l = Parallel.Pool.Lease.local lease in
-  let n = ref 0 in
-  while Parallel.Pool.Lease.spend l do
-    incr n
-  done;
-  Parallel.Pool.Lease.return_unspent l;
-  Alcotest.(check int) "exactly total spends" 100 !n;
-  Alcotest.(check int) "consumed exact" 100 (Parallel.Pool.Lease.consumed lease)
+let test_lease_chunk_slack () =
+  (* A held lease can make the budget look exhausted up to [chunk]
+     units early; returning it makes those units spendable again.  With
+     chunk = 1 there is no slack at all. *)
+  let drain l =
+    let n = ref 0 in
+    while Parallel.Pool.Lease.spend l do
+      incr n
+    done;
+    !n
+  in
+  List.iter
+    (fun (chunk, early) ->
+      let lease = Parallel.Pool.Lease.create ~chunk ~total:100 () in
+      let a = Parallel.Pool.Lease.local lease
+      and b = Parallel.Pool.Lease.local lease in
+      Alcotest.(check bool) "first spend" true (Parallel.Pool.Lease.spend a);
+      Alcotest.(check int)
+        (Printf.sprintf "other worker's share while held (chunk=%d)" chunk)
+        early (drain b);
+      Parallel.Pool.Lease.return_unspent a;
+      Parallel.Pool.Lease.return_unspent b;
+      Alcotest.(check int)
+        (Printf.sprintf "rest after return (chunk=%d)" chunk)
+        (99 - early) (drain b);
+      Parallel.Pool.Lease.return_unspent b;
+      Alcotest.(check int)
+        (Printf.sprintf "consumed exact (chunk=%d)" chunk)
+        100
+        (Parallel.Pool.Lease.consumed lease))
+    [ (1, 99); (64, 36) ]
 
 (* ---- decide: parallel vs sequential verdict kinds ---- *)
 
@@ -612,6 +679,91 @@ let test_smc_mean_robustness_reproducible () =
         a b)
     jobs_sweep
 
+let test_smc_sprt_jobs_stable () =
+  (* Different jobs values consume different streams, but a clear-cut
+     property (every sampled trace decays below 0.5) must get the same
+     decision at any worker count. *)
+  let prob = smc_problem () in
+  let kind = function
+    | Smc.Sprt.Accept -> "accept"
+    | Smc.Sprt.Reject -> "reject"
+    | Smc.Sprt.Inconclusive -> "inconclusive"
+  in
+  let verdict jobs = kind (Smc.Runner.test ~seed:11 ~jobs prob).Smc.Sprt.verdict in
+  Alcotest.(check string) "jobs=1 accepts" "accept" (verdict 1);
+  List.iter
+    (fun jobs ->
+      Alcotest.(check string)
+        (Printf.sprintf "same decision at jobs=%d" jobs)
+        "accept" (verdict jobs))
+    [ 2; 3; 4 ]
+
+(* ---- Domain cap: sequential drive vs real domains ----
+
+   At a fixed jobs value the frontier runs either as the sequential
+   drive (one effective domain) or on real domains; results must not
+   depend on which. *)
+
+let test_cap_decide () =
+  List.iter
+    (fun (name, formula, bx) ->
+      let f = P.formula formula in
+      let expected =
+        verdict_kind (S.decide ~config:{ S.default_config with jobs = 1 } f bx)
+      in
+      List.iter
+        (fun cap ->
+          with_domain_cap cap @@ fun () ->
+          Alcotest.(check string)
+            (Printf.sprintf "%s at jobs=2 cap=%d" name cap)
+            expected
+            (verdict_kind
+               (S.decide ~config:{ S.default_config with jobs = 2 } f bx)))
+        [ 1; 2 ])
+    [ ("geom-unsat", "x^2 + y^2 <= 1 and x + y >= 3",
+       box [ ("x", -2.0, 2.0); ("y", -2.0, 2.0) ]);
+      ("circle", "x^2 + y^2 = 1 and y = x^2",
+       box [ ("x", 0.0, 2.0); ("y", 0.0, 2.0) ]) ]
+
+let test_cap_pave () =
+  let f = P.formula "x^2 + y^2 <= 1" in
+  let bx = box [ ("x", -1.0, 1.0); ("y", -1.0, 1.0) ] in
+  let over = [ "x"; "y" ] in
+  let config jobs = { S.default_config with epsilon = 0.05; jobs } in
+  let base = S.pave ~config:(config 1) f bx in
+  List.iter
+    (fun cap ->
+      with_domain_cap cap @@ fun () ->
+      let p = S.pave ~config:(config 2) f bx in
+      List.iter
+        (fun (label, proj) ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s leaves at jobs=2 cap=%d = jobs=1" label cap)
+            true
+            (sort_boxes over (proj base) = sort_boxes over (proj p)))
+        [ ("sat", fun (p : S.paving) -> p.S.sat);
+          ("unsat", fun p -> p.S.unsat);
+          ("undecided", fun p -> p.S.undecided) ])
+    [ 1; 2 ]
+
+let test_cap_smc () =
+  (* SMC streams belong to logical workers, so at a fixed (seed, jobs)
+     the outcome is bit-identical under any domain cap. *)
+  let prob = smc_problem () in
+  let run cap =
+    with_domain_cap cap @@ fun () ->
+    let t = Smc.Runner.test ~seed:11 ~jobs:3 prob in
+    let e = Smc.Runner.estimate ~seed:7 ~jobs:3 ~eps:0.1 ~alpha:0.05 prob in
+    (t.Smc.Sprt.samples_used, t.Smc.Sprt.successes, e.Smc.Estimate.successes,
+     e.Smc.Estimate.p_hat)
+  in
+  let s1, k1, e1, p1 = run 1 in
+  let s2, k2, e2, p2 = run 2 in
+  Alcotest.(check int) "sprt samples used" s1 s2;
+  Alcotest.(check int) "sprt successes" k1 k2;
+  Alcotest.(check int) "estimate successes" e1 e2;
+  Alcotest.(check (float 0.0)) "estimate p_hat" p1 p2
+
 (* ---- SPRT incremental state vs the batch fold ---- *)
 
 let test_sprt_state_matches_run () =
@@ -681,61 +833,6 @@ let test_sprt_min_remaining_lower_bound () =
     end
   done
 
-(* ---- Work-stealing off/on differential ---- *)
-
-(* The monitor fallback and the deque scheduler must produce the same
-   verdicts, leaf sets, and (jobs-stable) SMC decisions. *)
-
-let test_workstealing_differential_decide () =
-  let f = P.formula "x^2 + y^2 <= 1 and x + y >= 3" in
-  let bx = box [ ("x", -2.0, 2.0); ("y", -2.0, 2.0) ] in
-  let run () =
-    verdict_kind (S.decide ~config:{ S.default_config with jobs = 2 } f bx)
-  in
-  let on = run () in
-  let off = with_workstealing false run in
-  Alcotest.(check string) "decide verdict off = on" off on
-
-let test_workstealing_differential_pave () =
-  let f = P.formula "x^2 + y^2 <= 1" in
-  let bx = box [ ("x", -1.0, 1.0); ("y", -1.0, 1.0) ] in
-  let config = { S.default_config with epsilon = 0.05; jobs = 2 } in
-  let over = [ "x"; "y" ] in
-  let run () = S.pave ~config f bx in
-  let on = run () in
-  let off = with_workstealing false run in
-  List.iter
-    (fun (label, proj) ->
-      Alcotest.(check bool)
-        (Printf.sprintf "%s leaves off = on" label)
-        true
-        (sort_boxes over (proj on) = sort_boxes over (proj off)))
-    [ ("sat", fun (p : S.paving) -> p.S.sat);
-      ("unsat", fun p -> p.S.unsat);
-      ("undecided", fun p -> p.S.undecided) ]
-
-let test_workstealing_differential_smc () =
-  (* Adaptive and fixed-32 batching consume the worker streams at
-     different offsets, so sample counts may differ; the verdict on a
-     clear-cut property must not. *)
-  let prob = smc_problem () in
-  let kind = function
-    | Smc.Sprt.Accept -> "accept"
-    | Smc.Sprt.Reject -> "reject"
-    | Smc.Sprt.Inconclusive -> "inconclusive"
-  in
-  let run () = kind (Smc.Runner.test ~seed:11 ~jobs:2 prob).Smc.Sprt.verdict in
-  let on = run () in
-  let off = with_workstealing false run in
-  Alcotest.(check string) "smc verdict off = on" off on;
-  (* and the estimator path is stream-identical (fan_out is untouched by
-     the scheduler choice) *)
-  let est () = Smc.Runner.estimate ~seed:7 ~jobs:2 ~eps:0.1 ~alpha:0.05 prob in
-  let e_on = est () in
-  let e_off = with_workstealing false est in
-  Alcotest.(check (float 0.0)) "estimate p_hat off = on" e_off.Smc.Estimate.p_hat
-    e_on.Smc.Estimate.p_hat
-
 let () =
   Alcotest.run "parallel"
     [ ( "pool",
@@ -744,11 +841,14 @@ let () =
           Alcotest.test_case "chunks partition" `Quick test_chunks_partition;
           Alcotest.test_case "frontier drains" `Quick test_frontier_drains_all;
           Alcotest.test_case "frontier stop" `Quick test_frontier_stop_discards;
-          Alcotest.test_case "first conclusive" `Quick test_first_conclusive;
-          Alcotest.test_case "first conclusive stops immediately" `Quick
-            test_first_conclusive_stops_immediately;
-          Alcotest.test_case "first conclusive settles leases" `Quick
-            test_first_conclusive_lease_exact ] );
+          Alcotest.test_case "frontier exception" `Quick test_frontier_exception;
+          Alcotest.test_case "frontier push after stop" `Quick
+            test_frontier_push_after_stop;
+          Alcotest.test_case "frontier sequential order" `Quick
+            test_frontier_sequential_order;
+          Alcotest.test_case "run multiplexing" `Quick test_run_multiplexing;
+          Alcotest.test_case "argument validation" `Quick test_argument_validation;
+          Alcotest.test_case "for_chunks clamped" `Quick test_for_chunks_clamped ] );
       ( "deque",
         [ Alcotest.test_case "lifo and batch order" `Quick test_deque_order;
           Alcotest.test_case "steal-half order" `Quick test_deque_steal_half;
@@ -764,18 +864,15 @@ let () =
         [ Alcotest.test_case "exact consumption" `Quick
             test_lease_exact_consumption;
           Alcotest.test_case "partial return" `Quick test_lease_partial_return;
-          Alcotest.test_case "legacy chunk=1" `Quick test_lease_legacy_chunk_one ] );
+          Alcotest.test_case "chunk slack" `Quick test_lease_chunk_slack ] );
       ( "sprt-state",
         [ Alcotest.test_case "state fold = run" `Quick test_sprt_state_matches_run;
           Alcotest.test_case "min_remaining lower bound" `Quick
             test_sprt_min_remaining_lower_bound ] );
-      ( "workstealing-differential",
-        [ Alcotest.test_case "decide off = on" `Quick
-            test_workstealing_differential_decide;
-          Alcotest.test_case "pave off = on" `Quick
-            test_workstealing_differential_pave;
-          Alcotest.test_case "smc off = on" `Quick
-            test_workstealing_differential_smc ] );
+      ( "domain-cap",
+        [ Alcotest.test_case "decide cap 1 = cap 2" `Quick test_cap_decide;
+          Alcotest.test_case "pave cap 1 = cap 2" `Quick test_cap_pave;
+          Alcotest.test_case "smc cap 1 = cap 2" `Quick test_cap_smc ] );
       ( "decide",
         [ Alcotest.test_case "sqrt2" `Quick test_decide_sqrt2;
           Alcotest.test_case "geometric unsat" `Quick test_decide_geom_unsat;
@@ -800,4 +897,5 @@ let () =
           Alcotest.test_case "sprt deterministic" `Quick
             test_smc_sprt_deterministic;
           Alcotest.test_case "mean robustness reproducible" `Quick
-            test_smc_mean_robustness_reproducible ] ) ]
+            test_smc_mean_robustness_reproducible;
+          Alcotest.test_case "sprt jobs-stable" `Quick test_smc_sprt_jobs_stable ] ) ]

@@ -4,8 +4,8 @@
    the TM-tightened HC4 revise, TM-on vs TM-off search agreement, the
    kill-switch guarantee that BIOMC_NO_TM reproduces the affine-era
    paving bit for bit (leaf sets pinned by fingerprint, including cache
-   interactions), and the call-site policy: only pave and tm racers
-   evaluate Taylor models. *)
+   interactions), and the call-site policy: only pave and an explicit
+   [Contractor.contractor ~tm:true] evaluate Taylor models. *)
 
 module I = Interval.Ia
 module TM = Interval.Tm
@@ -351,32 +351,100 @@ let decide_cases =
       "x^2 + y^2 = 1 and x*y = 1/2",
       box [ ("x", 0.0, 2.0); ("y", 0.0, 2.0) ] ) ]
 
-(* Decide runs Taylor models only through a portfolio racer that asks
-   for them, so the differential pins the tm-bisect racer against the
-   same racer with its tm axis off (plain hc4 bisection). *)
-let tm_bisect =
-  List.find
-    (fun s -> s.Icp.Portfolio.name = "tm-bisect")
-    (Icp.Portfolio.curated ())
+(* Known real solutions of the satisfiable decide cases: a sound
+   contraction may never remove them, with or without Taylor models. *)
+let known_solutions = function
+  | "sqrt2" -> [ [ ("x", Float.sqrt 2.0) ] ]
+  | "sin" -> [ [ ("x", Float.pi /. 6.0) ]; [ ("x", 5.0 *. Float.pi /. 6.0) ] ]
+  | "tangency" ->
+      let h = Float.sqrt 0.5 in
+      [ [ ("x", h); ("y", h) ] ]
+  | _ -> []
 
-let no_tm_bisect = { tm_bisect with Icp.Portfolio.tm = false }
+(* The case box and every box of a depth-[depth] bisection tree below
+   it: the contractor is exercised at the sizes a search hands it. *)
+let rec search_boxes depth b =
+  if depth = 0 then [ b ]
+  else
+    match Box.split ~min_width:0.0 b with
+    | Some (l, r) -> (b :: search_boxes (depth - 1) l) @ search_boxes (depth - 1) r
+    | None -> [ b ]
 
-let test_decide_on_vs_off () =
+(* One HC4 contractor per DNF branch of the case, with the TM pass on
+   or off; the atoms are δ-weakened exactly as decide does. *)
+let case_contractors ~tm f =
+  List.map
+    (fun atoms ->
+      Icp.Contractor.contractor ~tm
+        (List.map (Icp.Contractor.of_atom ~delta:S.default_config.S.delta) atoms))
+    (Expr.Formula.dnf f)
+
+let with_cache_off f =
+  Cache.set_policy Cache.Off;
+  Fun.protect ~finally:Cache.clear_policy_override f
+
+let tm_span_count () =
+  match List.assoc_opt "icp.tm" (Telemetry.Metrics.histograms ()) with
+  | Some s -> s.Telemetry.Histogram.count
+  | None -> 0
+
+let with_metrics f =
+  let metrics = Telemetry.metrics_on () in
+  Telemetry.set_metrics true;
+  Fun.protect ~finally:(fun () -> Telemetry.set_metrics metrics) f
+
+(* The Taylor-model pass inside HC4, on the decide systems and boxes:
+   [~tm:true] only ever tightens the [~tm:false] result (a refutation
+   stays a refutation, a contracted box stays inside), it never drops a
+   known solution point, and it is what advances the [icp.tm] span —
+   [~tm:false] does not.  Caches off, so every call contracts afresh. *)
+let test_contractor_on_vs_off () =
+  with_metrics @@ fun () ->
+  with_cache_off @@ fun () ->
+  let tm_before = tm_span_count () in
+  let off_spans = ref 0 in
   List.iter
     (fun (name, fs, bx) ->
       let f = P.formula fs in
+      let on = case_contractors ~tm:true f in
+      let off = case_contractors ~tm:false f in
       List.iter
-        (fun jobs ->
-          let config = { S.default_config with jobs } in
-          let on = verdict_kind (S.decide ~config ~strategy:tm_bisect f bx) in
-          let off =
-            verdict_kind (S.decide ~config ~strategy:no_tm_bisect f bx)
-          in
-          Alcotest.(check string)
-            (Printf.sprintf "%s at jobs=%d" name jobs)
-            off on)
-        [ 1; 2 ])
-    decide_cases
+        (fun b ->
+          List.iter2
+            (fun c_on c_off ->
+              let before_off = tm_span_count () in
+              let r_off = c_off b in
+              off_spans := !off_spans + (tm_span_count () - before_off);
+              let r_on = c_on b in
+              (match (r_on, r_off) with
+              | _, None ->
+                  if Option.is_some r_on then
+                    Alcotest.failf "%s: TM un-refuted %s" name (Box.to_string b)
+              | None, Some _ -> ()
+              | Some b_on, Some b_off ->
+                  if not (Box.subset b_on b_off) then
+                    Alcotest.failf "%s on %s: TM result %s not inside %s" name
+                      (Box.to_string b) (Box.to_string b_on)
+                      (Box.to_string b_off));
+              List.iter
+                (fun pt ->
+                  if Box.contains_env pt b then
+                    match r_on with
+                    | Some b_on when Box.contains_env pt (Box.inflate 1e-9 b_on)
+                      ->
+                        ()
+                    | _ ->
+                        Alcotest.failf "%s on %s: TM contraction dropped a \
+                                        solution point"
+                          name (Box.to_string b))
+                (known_solutions name))
+            on off)
+        (search_boxes 4 bx))
+    decide_cases;
+  Alcotest.(check int) "~tm:false makes no icp.tm evaluations" 0 !off_spans;
+  Alcotest.(check bool) "~tm:true advances the icp.tm span"
+    (Expr.Tape.enabled ())
+    (tm_span_count () > tm_before)
 
 (* Paving on vs off: leaf sets legitimately differ (the TM pass changes
    contraction trajectories and certifies sat leaves earlier), but both
@@ -384,12 +452,7 @@ let test_decide_on_vs_off () =
    share volume with an unsat leaf of the other; feasibility must
    agree; and the TM paving must be identical between jobs=1 and
    jobs=2. *)
-(* Pinned on the default pave path: under BIOMC_PORTFOLIO=1 a non-TM
-   racer can win the race and certify nothing, which is legitimate but
-   not what this test measures. *)
 let test_pave_on_vs_off () =
-  Icp.Portfolio.set_mode Icp.Portfolio.Off;
-  Fun.protect ~finally:Icp.Portfolio.clear_mode_override @@ fun () ->
   let f =
     P.formula
       "x^3 - 2*x^2 + 1.25*x >= 0.2 and x^3 - 2*x^2 + 1.25*x <= 0.3 and \
@@ -461,9 +524,10 @@ let stats_tuple (s : S.stats) =
   (s.S.boxes_processed, s.S.splits, s.S.prunings, s.S.max_depth,
    s.S.certifications)
 
-(* The TM-era run in the middle is the tm-bisect racer (default decide
-   never evaluates Taylor models); its HC4 and refutation entries must
-   not leak into the default search around it. *)
+(* The TM-era run in the middle is a decide with the switch on plus
+   the TM-tightened HC4 contractor over the case's search boxes (a
+   default decide never evaluates Taylor models); the HC4 entries it
+   caches must not leak into the default search around it. *)
 let test_killswitch_decide_bitforbit () =
   List.iter
     (fun (name, fs, bx) ->
@@ -474,9 +538,12 @@ let test_killswitch_decide_bitforbit () =
             (verdict_kind r, stats_tuple stats))
       in
       let v1, s1 = run () in
-      let _ =
-        with_tm true (fun () -> S.decide_with_stats ~strategy:tm_bisect f bx)
-      in
+      with_tm true (fun () ->
+          ignore (S.decide_with_stats f bx);
+          let on = case_contractors ~tm:true f in
+          List.iter
+            (fun b -> List.iter (fun c -> ignore (c b)) on)
+            (search_boxes 4 bx));
       let v2, s2 = run () in
       Alcotest.(check string) (name ^ ": off verdict reproduced") v1 v2;
       Alcotest.(check bool)
@@ -517,10 +584,6 @@ let test_killswitch_pave_bitforbit () =
 
 (* ---- call-site policy: TM only where it pays ---- *)
 
-let with_cache_off f =
-  Cache.set_policy Cache.Off;
-  Fun.protect ~finally:Cache.clear_policy_override f
-
 (* ODE flows never evaluate Taylor models: the global switch must not
    change a single tube bound (caches off, or the second flow would be
    a replay of the first). *)
@@ -554,32 +617,23 @@ let test_flow_ignores_tm () =
         Alcotest.failf "step [%g, %g] differs with TM on" sa.E.t_lo sa.E.t_hi)
     a.E.steps b.E.steps
 
-let tm_span_count () =
-  match List.assoc_opt "icp.tm" (Telemetry.Metrics.histograms ()) with
-  | Some s -> s.Telemetry.Histogram.count
-  | None -> 0
-
-(* A default-config decide (portfolio off) never enters the TM pass,
-   whatever the switch says: the icp.tm span does not advance. *)
+(* A default-config decide never enters the TM pass, whatever the
+   switch says: the icp.tm span does not advance. *)
 let test_decide_makes_no_tm_evaluations () =
-  Icp.Portfolio.set_mode Icp.Portfolio.Off;
-  let metrics = Telemetry.metrics_on () in
-  Telemetry.set_metrics true;
-  Fun.protect
-    ~finally:(fun () ->
-      Telemetry.set_metrics metrics;
-      Icp.Portfolio.clear_mode_override ())
-  @@ fun () ->
+  with_metrics @@ fun () ->
   with_cache_off @@ fun () ->
   with_tm true @@ fun () ->
   let before = tm_span_count () in
   List.iter (fun (_, fs, bx) -> ignore (S.decide (P.formula fs) bx)) decide_cases;
   Alcotest.(check int) "icp.tm spans during decide" before (tm_span_count ());
-  (* The span is live: the racer that asks for TM does advance it
+  (* The span is live: a contractor that asks for TM does advance it
      (Taylor models need the tape path). *)
   let _, fs, bx = List.nth decide_cases 3 in
-  ignore (S.decide ~strategy:tm_bisect (P.formula fs) bx);
-  Alcotest.(check bool) "tm-bisect racer evaluates TM" (Expr.Tape.enabled ())
+  List.iter
+    (fun c -> ignore (c bx))
+    (case_contractors ~tm:true (P.formula fs));
+  Alcotest.(check bool) "~tm:true contractor evaluates TM"
+    (Expr.Tape.enabled ())
     (tm_span_count () > before)
 
 let () =
@@ -602,8 +656,8 @@ let () =
           Alcotest.test_case "refutes x(1-x) quadratic" `Quick
             test_hc4_tm_refutes_quadratic ] );
       ( "search",
-        [ Alcotest.test_case "decide on vs off (jobs 1, 2)" `Quick
-            test_decide_on_vs_off;
+        [ Alcotest.test_case "HC4 contractor tm on vs off" `Quick
+            test_contractor_on_vs_off;
           Alcotest.test_case "pave on vs off consistency" `Quick
             test_pave_on_vs_off ] );
       ( "kill-switch",
