@@ -7,6 +7,12 @@
    volumes, probabilities).  Absolute numbers are machine-dependent; the
    *shapes* (who wins, where verdicts flip) are the reproduction targets.
 
+   Measured sections (P1, C1, O1, J1, N1, AF1, TM1): workloads run under
+   several configs (jobs values, a layer switch off vs on, a sink off vs
+   on) on one harness ([measure]), with the answers checked to agree
+   across configs in-process, and one writer ([write_json]) emitting
+   every BENCH_*.json.
+
    Part 2 — kernel timing: Bechamel OLS estimates of ns/run for one
    representative workload per experiment, plus the ablations A1–A3.
 
@@ -20,10 +26,17 @@ module Report = Core.Report
 
 let section title = Report.print [ Report.heading title ]
 
+(* Wall-clock time of one call: the E, S and A sections report it as
+   is; [measure] builds the measured sections' rounds on it. *)
 let timed f =
   let t0 = Unix.gettimeofday () in
   let r = f () in
   (r, Unix.gettimeofday () -. t0)
+
+let verdict_kind = function
+  | Icp.Solver.Delta_sat _ -> "delta-sat"
+  | Icp.Solver.Unsat -> "unsat"
+  | Icp.Solver.Unknown _ -> "unknown"
 
 (* ------------------------------------------------------------------ *)
 (* E1: Fenton–Karma spike-and-dome falsification                       *)
@@ -349,11 +362,6 @@ let s1 () =
     let box = Box.of_list (List.map (fun v -> (v, I.make (-2.0) 2.0)) vars) in
     (f, box)
   in
-  let verdict_str = function
-    | Icp.Solver.Delta_sat _ -> "delta-sat"
-    | Icp.Solver.Unsat -> "unsat"
-    | Icp.Solver.Unknown _ -> "unknown"
-  in
   let delta_rows =
     List.map
       (fun delta ->
@@ -363,7 +371,7 @@ let s1 () =
         let (r, stats), dt =
           timed (fun () -> Icp.Solver.decide_with_stats ~config tangency tangency_box)
         in
-        [ Fmt.str "%.0e" delta; verdict_str r;
+        [ Fmt.str "%.0e" delta; verdict_kind r;
           string_of_int stats.Icp.Solver.boxes_processed; Fmt.str "%.4fs" dt ])
       [ 1e-1; 1e-2; 1e-3; 1e-4; 1e-5; 1e-6 ]
   in
@@ -375,7 +383,7 @@ let s1 () =
         let (r, stats), dt =
           timed (fun () -> Icp.Solver.decide_with_stats ~config f box)
         in
-        [ string_of_int n; verdict_str r;
+        [ string_of_int n; verdict_kind r;
           string_of_int stats.Icp.Solver.boxes_processed; Fmt.str "%.4fs" dt ])
       [ 1; 2; 3; 4; 5 ]
   in
@@ -443,11 +451,7 @@ let a3 () =
       (fun (label, use_contraction) ->
         let config = { Icp.Solver.default_config with use_contraction } in
         let (r, stats), dt = timed (fun () -> Icp.Solver.decide_with_stats ~config f box) in
-        [ label;
-          (match r with
-          | Icp.Solver.Delta_sat _ -> "delta-sat"
-          | Icp.Solver.Unsat -> "unsat"
-          | Icp.Solver.Unknown _ -> "unknown");
+        [ label; verdict_kind r;
           string_of_int stats.Icp.Solver.boxes_processed;
           string_of_int stats.Icp.Solver.prunings; Fmt.str "%.4fs" dt ])
       [ ("HC4 + bisection", true); ("bisection only", false) ]
@@ -478,34 +482,240 @@ let a4 () =
       Report.table ~header:[ "samples"; "verdict"; "time" ] rows ]
 
 (* ------------------------------------------------------------------ *)
+(* The measurement harness of P1, C1, O1, J1, N1, AF1 and TM1          *)
+(* ------------------------------------------------------------------ *)
+
+(* Every measured section has one shape: workloads × configs → records.
+   A config is one arm of the comparison (a jobs value, a switch off or
+   on, a sink off or on); [measure] runs one workload under every config
+   and is the only timing loop of the bench:
+
+   - one untimed warm-up run of the first config, so the first round
+     does not pay for cold caches and allocator growth;
+   - then [rounds] rounds, each timing every config once, in forward
+     order on even rounds and in reverse order on odd ones.  Shared
+     containers throttle in multi-second waves, so a protocol that timed
+     one config's rounds far apart from another's would measure the
+     wave, not the config; alternating inside each round taxes every
+     config alike, and neither end of the list always runs on the
+     fresher CPU;
+   - a major GC before every timed run, so no run pays for the garbage
+     of the previous one.  [enter] / [leave] bracket each run outside
+     the clock (cache clears, sink and telemetry switches).
+
+   A config's wall time is its minimum over the rounds (the noise-floor
+   estimate).  Its speedup is the median over rounds of the first
+   config's wall divided by its own wall in the same round: the two runs
+   are close in time, so a slow wave taxes both sides of each ratio, and
+   the median discards the rounds a wave boundary happened to split.
+
+   Every config must reproduce its own answer and counts in every round
+   (the determinism contract), and every config's result must agree
+   with the first config's: the answers are identical unless the section
+   passes a weaker [agree] (the same verdict kind, pavings that do not
+   contradict, an estimate inside the statistical corridor).  A failed
+   check raises, so a bug cannot hide behind a good-looking ratio. *)
+
+type 'p config = {
+  label : string;
+  param : 'p;  (* what the workload's run function receives *)
+  enter : unit -> unit;
+  leave : unit -> unit;
+}
+
+let config ?(enter = ignore) ?(leave = ignore) label param =
+  { label; param; enter; leave }
+
+(* One record per (workload, config); every BENCH_*.json lists them. *)
+type record = {
+  workload : string;
+  config : string;
+  wall_s : float;  (* per-config minimum over the rounds *)
+  speedup : float;  (* median within-round ratio: first config / this *)
+  answer : string;  (* what the configs were checked to agree on *)
+  counts : (string * int) list;  (* identical in every round *)
+  values : (string * float) list;  (* section-specific measurements *)
+}
+
+let median a =
+  let a = Array.copy a in
+  Array.sort compare a;
+  let n = Array.length a in
+  if n land 1 = 1 then a.(n / 2) else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.0
+
+(* Returns each config's result (from its first timed round) with its
+   record, in config order. *)
+let measure ~section ~workload ~rounds ~answer ?(counts = fun _ -> [])
+    ?(values = fun _ -> []) ?agree configs run =
+  let configs = Array.of_list configs in
+  let k = Array.length configs in
+  let fail fmt =
+    Printf.ksprintf
+      (fun msg -> failwith (Printf.sprintf "%s %s: %s" section workload msg))
+      fmt
+  in
+  let timed_run c =
+    c.enter ();
+    Fun.protect ~finally:c.leave (fun () ->
+        Gc.full_major ();
+        timed (fun () -> run c.param))
+  in
+  ignore (timed_run configs.(0));
+  let results = Array.make k None in
+  let walls = Array.make_matrix k rounds 0.0 in
+  for round = 0 to rounds - 1 do
+    for j = 0 to k - 1 do
+      let i = if round land 1 = 0 then j else k - 1 - j in
+      let r, dt = timed_run configs.(i) in
+      walls.(i).(round) <- dt;
+      let key = (answer r, counts r) in
+      match results.(i) with
+      | None -> results.(i) <- Some (r, key)
+      | Some (_, first) ->
+          if key <> first then
+            fail "%s is not reproducible (%s, then %s)" configs.(i).label
+              (fst first) (fst key)
+    done
+  done;
+  let result i = fst (Option.get results.(i)) in
+  let base = result 0 in
+  let agrees r =
+    match agree with Some f -> f base r | None -> answer base = answer r
+  in
+  Array.iteri
+    (fun i c ->
+      if not (agrees (result i)) then
+        fail "%s (%s) disagrees with %s (%s)" c.label (answer (result i))
+          configs.(0).label (answer base))
+    configs;
+  List.init k (fun i ->
+      let r = result i in
+      ( r,
+        { workload;
+          config = configs.(i).label;
+          wall_s = Array.fold_left Float.min infinity walls.(i);
+          speedup =
+            median (Array.init rounds (fun n -> walls.(0).(n) /. walls.(i).(n)));
+          answer = answer r;
+          counts = counts r;
+          values = values r } ))
+
+(* The bench's one JSON writer.  Every BENCH_*.json is an object with
+   "section", "quick", "rounds", "timing" (the harness rule above),
+   "meta" (section-level facts: core count, budgets, trace volume) and
+   "records" (one per workload × config, fields as in [record]).
+   Non-finite numbers (a diverged tube's width) are written as null. *)
+module Json = Telemetry.Json
+
+let timing_rule =
+  "configs alternate within each round (reversed every other round), \
+   each timed run preceded by a major GC; wall_s is the per-config \
+   minimum over the rounds; speedup is the median over rounds of the \
+   first config's wall divided by this config's wall in the same round"
+
+let rec json_to_buffer buf (v : Json.t) =
+  let list sep f l =
+    List.iteri
+      (fun i x ->
+        if i > 0 then Buffer.add_string buf sep;
+        f x)
+      l
+  in
+  match v with
+  | Json.Null -> Buffer.add_string buf "null"
+  | Json.Bool b -> Buffer.add_string buf (string_of_bool b)
+  | Json.Num f when not (Float.is_finite f) -> Buffer.add_string buf "null"
+  | Json.Num f when Float.is_integer f && Float.abs f < 1e15 ->
+      Buffer.add_string buf (Printf.sprintf "%.0f" f)
+  | Json.Num f -> Buffer.add_string buf (Printf.sprintf "%.6g" f)
+  | Json.Str s -> Json.escape buf s
+  | Json.Arr l ->
+      Buffer.add_char buf '[';
+      list ", " (json_to_buffer buf) l;
+      Buffer.add_char buf ']'
+  | Json.Obj l ->
+      Buffer.add_char buf '{';
+      list ", "
+        (fun (k, x) ->
+          Json.escape buf k;
+          Buffer.add_string buf ": ";
+          json_to_buffer buf x)
+        l;
+      Buffer.add_char buf '}'
+
+let jint n = Json.Num (float_of_int n)
+
+let json_of_record r =
+  Json.Obj
+    [ ("workload", Json.Str r.workload);
+      ("config", Json.Str r.config);
+      ("wall_s", Json.Num r.wall_s);
+      ("speedup", Json.Num r.speedup);
+      ("answer", Json.Str r.answer);
+      ("counts", Json.Obj (List.map (fun (k, n) -> (k, jint n)) r.counts));
+      ("values", Json.Obj (List.map (fun (k, v) -> (k, Json.Num v)) r.values)) ]
+
+let write_json file ~section ~quick ~rounds ?(meta = []) records =
+  let buf = Buffer.create 4096 in
+  let field ?(last = false) k v =
+    Buffer.add_string buf "  ";
+    Json.escape buf k;
+    Buffer.add_string buf ": ";
+    json_to_buffer buf v;
+    Buffer.add_string buf (if last then "\n" else ",\n")
+  in
+  Buffer.add_string buf "{\n";
+  field "section" (Json.Str section);
+  field "quick" (Json.Bool quick);
+  field "rounds" (jint rounds);
+  field "timing" (Json.Str timing_rule);
+  field "meta" (Json.Obj meta);
+  Buffer.add_string buf "  \"records\": [\n";
+  List.iteri
+    (fun i r ->
+      Buffer.add_string buf (if i = 0 then "    " else ",\n    ");
+      json_to_buffer buf (json_of_record r))
+    records;
+  Buffer.add_string buf "\n  ]\n}\n";
+  let oc = open_out file in
+  output_string oc (Buffer.contents buf);
+  close_out oc;
+  Report.print [ Report.text "wrote %s" file ]
+
+let count r k = match List.assoc_opt k r.counts with Some n -> n | None -> 0
+let secs s = Fmt.str "%.3fs" s
+
+let search_counts (s : Icp.Solver.stats) =
+  [ ("boxes_processed", s.Icp.Solver.boxes_processed);
+    ("splits", s.Icp.Solver.splits);
+    ("prunings", s.Icp.Solver.prunings) ]
+
+(* Exact, order-sensitive rendering of box lists (Box.to_string prints
+   round-trip bounds), digested to 12 hex digits: two runs agree iff
+   every list does, element for element. *)
+let boxes_digest lists =
+  let render l = String.concat ";" (List.map Box.to_string l) in
+  String.sub
+    (Digest.to_hex (Digest.string (String.concat "|" (List.map render lists))))
+    0 12
+
+(* ------------------------------------------------------------------ *)
 (* P1: multicore scaling sweep (jobs = 1, 2, 4, 8)                     *)
 (* ------------------------------------------------------------------ *)
 
-(* Each kernel runs [rounds] times per jobs value with scheduler
-   telemetry captured per run; the minimum wall time survives (the
-   container's clock is noisy, and the min filters throttling spikes).
-   Sequential (jobs = 1) is the baseline for the speedup column, and the
-   result of every parallel run is checked against it in-process —
-   verdict kind for decide, exact leaf multiset for pave, bit-equal
-   rounds plus a 2ε Chernoff corridor for the SMC estimate — so a
-   scheduler bug cannot hide behind a good-looking speedup.  Results
-   land in BENCH_icp.json (ns/op, speedup, search effort, and scheduler
-   counters per kernel and jobs value, plus the detected core count —
-   speedups are bounded by the latter; jobs beyond it are multiplexed
-   onto the available domains). *)
+(* Each kernel is one harness workload whose configs are the jobs
+   values; jobs = 1 is the first config, so the speedup column is the
+   median within-round ratio against the sequential drive.  Every
+   parallel run is checked against it in-process — verdict kind for
+   decide, exact leaf multiset for pave, a 2ε Chernoff corridor for the
+   SMC estimate — so a scheduler bug cannot hide behind a good-looking
+   speedup.  Results land in BENCH_icp.json, with the detected core
+   count: speedups are bounded by it, and jobs beyond it are
+   multiplexed onto the available domains. *)
 
 let p1_jobs_sweep = [ 1; 2; 4; 8 ]
 
 (* One run's scheduler telemetry, read off the metrics registry. *)
-type p1_sched = {
-  steals : int;
-  steal_fails : int;
-  idle_ns : int;
-  lease_refills : int;
-  deque_p50 : int;
-  deque_p99 : int;
-}
-
 let p1_snapshot_sched () =
   let counters = Telemetry.Metrics.counters () in
   let c name = match List.assoc_opt name counters with Some v -> v | None -> 0 in
@@ -516,14 +726,12 @@ let p1_snapshot_sched () =
           Telemetry.Histogram.quantile 0.99 snap )
     | _ -> (0, 0)
   in
-  {
-    steals = c "pool.steals";
-    steal_fails = c "pool.steal_fails";
-    idle_ns = c "pool.idle_ns";
-    lease_refills = c "pool.lease_refills";
-    deque_p50 = p50;
-    deque_p99 = p99;
-  }
+  [ ("steals", c "pool.steals");
+    ("steal_fails", c "pool.steal_fails");
+    ("idle_ns", c "pool.idle_ns");
+    ("lease_refills", c "pool.lease_refills");
+    ("deque_depth_p50", p50);
+    ("deque_depth_p99", p99) ]
 
 let p1 ?(quick = false) () =
   section
@@ -560,189 +768,86 @@ let p1 ?(quick = false) () =
       ~property:(Smc.Bltl.Finally (30.0, Smc.Bltl.prop "p53 >= 0.3"))
       ~t_end:30.0 ()
   in
-  let sort_leaves over bs =
-    List.sort compare
-      (List.map
-         (fun b ->
-           List.map
-             (fun v ->
-               let i = Box.find v b in
-               (v, I.lo i, I.hi i))
-             over)
-         bs)
-  in
-  (* Each kernel returns (summary, (boxes, splits, prunings), check);
-     [same] compares checks across rounds at one jobs value (must be
-     exact — that is the determinism contract), [agrees] compares a
-     parallel run's check against the jobs=1 baseline. *)
-  let decide_kernel jobs =
-    let config =
-      { Icp.Solver.default_config with
-        delta = 1e-7; epsilon = 1e-8; max_boxes = 10_000_000; jobs }
-    in
-    let r, stats = Icp.Solver.decide_with_stats ~config sphere sphere_box in
-    let kind =
-      match r with
-      | Icp.Solver.Delta_sat _ -> "delta-sat"
-      | Icp.Solver.Unsat -> "unsat"
-      | Icp.Solver.Unknown _ -> "unknown"
-    in
-    ( Fmt.str "%s, %d boxes, %d certs" kind stats.Icp.Solver.boxes_processed
-        stats.Icp.Solver.certifications,
-      ( stats.Icp.Solver.boxes_processed,
-        stats.Icp.Solver.splits,
-        stats.Icp.Solver.prunings ),
-      `Verdict kind )
-  in
-  let pave_kernel jobs =
-    let config = { Icp.Solver.default_config with epsilon = 0.005; jobs } in
-    let p, stats = Icp.Solver.pave_with_stats ~config ring ring_box in
-    ( Fmt.str "%d/%d/%d leaves, %d boxes, %d splits"
-        (List.length p.Icp.Solver.sat)
-        (List.length p.Icp.Solver.unsat)
-        (List.length p.Icp.Solver.undecided)
-        stats.Icp.Solver.boxes_processed stats.Icp.Solver.splits,
-      ( stats.Icp.Solver.boxes_processed,
-        stats.Icp.Solver.splits,
-        stats.Icp.Solver.prunings ),
-      `Leaves
-        (List.map
-           (fun leaves -> sort_leaves [ "x"; "y" ] leaves)
-           [ p.Icp.Solver.sat; p.Icp.Solver.unsat; p.Icp.Solver.undecided ]) )
-  in
-  let smc_kernel jobs =
-    let e = Smc.Runner.estimate ~jobs ~eps:smc_eps ~alpha:0.05 smc_prob in
-    ( Fmt.str "p=%.3f, n=%d" e.Smc.Estimate.p_hat e.Smc.Estimate.n,
-      (0, 0, 0),
-      `Est (e.Smc.Estimate.p_hat, e.Smc.Estimate.successes, e.Smc.Estimate.n) )
-  in
-  let agrees name base got =
-    match (base, got) with
-    | `Verdict a, `Verdict b ->
-        if a <> b then failwith (Printf.sprintf "P1 %s: verdict %s <> %s" name b a)
-    | `Leaves a, `Leaves b ->
-        if a <> b then
-          failwith (Printf.sprintf "P1 %s: parallel leaf set differs" name)
-    | `Est (p_base, _, _), `Est (p_got, _, _) ->
-        (* different jobs consume different PRNG streams; both estimates
-           carry the same Chernoff ±ε bound *)
-        if Float.abs (p_base -. p_got) > 2.0 *. smc_eps then
-          failwith
-            (Printf.sprintf "P1 %s: estimate %.3f outside 2eps of %.3f" name
-               p_got p_base)
-    | _ -> failwith (Printf.sprintf "P1 %s: check kind mismatch" name)
-  in
-  let same name jobs a b =
-    if a <> b then
-      failwith
-        (Printf.sprintf "P1 %s: non-reproducible result at jobs=%d" name jobs)
-  in
+  (* Parallel pavings list their leaves in scheduling order; sorted,
+     they must be the sequential leaf multiset exactly. *)
+  let sort = List.sort (fun a b -> compare (Box.to_list a) (Box.to_list b)) in
   (* Timed rounds run with metrics OFF: the pool's per-item counters and
      the deque-depth histogram only fire on the pooled (jobs > 1) code
      path, so leaving them on would tax exactly the runs whose speedup
      is being measured.  Scheduler telemetry instead comes from one
      extra, untimed run per (kernel, jobs) cell with metrics enabled —
-     the kernels are deterministic at a fixed jobs value (asserted via
-     [same]), so the extra run retraces the measured ones. *)
-  (* Shared containers throttle in multi-second waves (observed: wall
-     clock for a fixed workload halving and doubling on a ~5 s period),
-     so any protocol that times the jobs=1 cell and the jobs=k cell far
-     apart measures the wave, not the scheduler.  The speedup for
-     jobs=k is therefore the {e median of adjacent-pair ratios}: each
-     round times jobs=1 and jobs=k back to back (order alternating
-     every round so neither side systematically runs on the fresher
-     CPU), takes the ratio of those two adjacent walls - close enough
-     in time that a slow wave taxes both sides equally - and the median
-     over rounds discards the pairs a wave boundary happened to split.
-     Each timed run is preceded by a major GC so a run never pays for
-     the garbage of the previous one.  The wall column is the per-cell
-     minimum over every sample taken (the usual noise-floor
-     estimate). *)
-  let median a =
-    let a = Array.copy a in
-    Array.sort compare a;
-    let n = Array.length a in
-    if n land 1 = 1 then a.(n / 2) else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.0
-  in
-  let measure_kernel name kernel =
-    let slots = List.length sweep in
-    let sweep_arr = Array.of_list sweep in
-    let best = Array.make slots None in
-    let checks = Array.make slots None in
-    let run k =
-      let jobs = sweep_arr.(k) in
-      Gc.full_major ();
-      let (summary, effort, check), dt = timed (fun () -> kernel jobs) in
-      (match checks.(k) with
-      | None -> checks.(k) <- Some check
-      | Some c -> same name jobs c check);
-      (match best.(k) with
-      | Some (_, _, best_dt) when best_dt <= dt -> ()
-      | _ -> best.(k) <- Some (summary, effort, dt));
-      dt
+     the kernels are deterministic at a fixed jobs value (the harness
+     asserts it), so the extra run retraces the measured ones. *)
+  let kernel name ~answer ~counts ?values ?agree run =
+    let arms =
+      measure ~section:"P1" ~workload:name ~rounds ~answer ~counts ?values
+        ?agree
+        (List.map (fun jobs -> config (Printf.sprintf "jobs=%d" jobs) jobs) sweep)
+        run
     in
-    (* one unrecorded warm-up so the first pair does not pay for cold
-       caches and allocator growth *)
-    ignore (run 0 : float);
-    let ratios =
-      Array.init (slots - 1) (fun i ->
-          Array.init rounds (fun round ->
-              let k = i + 1 in
-              if round land 1 = 0 then
-                let d1 = run 0 in
-                let dk = run k in
-                d1 /. dk
-              else
-                let dk = run k in
-                let d1 = run 0 in
-                d1 /. dk))
-    in
-    let speedup k = if k = 0 then 1.0 else median ratios.(k - 1) in
-    List.mapi
-      (fun k jobs ->
-        let sched =
-          Telemetry.set_metrics true;
-          Fun.protect ~finally:(fun () -> Telemetry.set_metrics false)
-          @@ fun () ->
-          Telemetry.reset ();
-          let (_, _, check), _ = timed (fun () -> kernel jobs) in
-          (match checks.(k) with Some c -> same name jobs c check | None -> ());
-          p1_snapshot_sched ()
-        in
-        match (best.(k), checks.(k)) with
-        | Some (summary, effort, dt), Some check ->
-            (jobs, (summary, effort, sched, dt, speedup k, check))
-        | _ -> assert false)
-      sweep
+    List.map2
+      (fun jobs (r, record) ->
+        Telemetry.set_metrics true;
+        Fun.protect ~finally:(fun () -> Telemetry.set_metrics false)
+        @@ fun () ->
+        Telemetry.reset ();
+        if answer (run jobs) <> answer r then
+          failwith (Printf.sprintf "P1 %s: jobs=%d is not reproducible" name jobs);
+        { record with counts = record.counts @ p1_snapshot_sched () })
+      sweep arms
   in
-  let measured =
-    List.map
-      (fun (name, kernel) ->
-        let runs = measure_kernel name kernel in
-        (match runs with
-        | (_, (_, _, _, _, _, base_check)) :: rest ->
-            List.iter
-              (fun (_, (_, _, _, _, _, check)) -> agrees name base_check check)
-              rest
-        | [] -> ());
-        (name, runs))
-      [ ("icp-decide-sphere", decide_kernel);
-        ("icp-pave-ring", pave_kernel);
-        ("smc-estimate-p53", smc_kernel) ]
+  let decide jobs =
+    Icp.Solver.decide_with_stats
+      ~config:
+        { Icp.Solver.default_config with
+          delta = 1e-7; epsilon = 1e-8; max_boxes = 10_000_000; jobs }
+      sphere sphere_box
   in
-  let rows =
-    List.concat_map
-      (fun (name, runs) ->
-        List.map
-          (fun (jobs, (summary, _, sched, dt, speedup, _)) ->
-            [ name; string_of_int jobs; Fmt.str "%.3fs" dt;
-              Fmt.str "%.2fx" speedup;
-              string_of_int sched.steals;
-              string_of_int sched.lease_refills;
-              Fmt.str "%.1fms" (float_of_int sched.idle_ns /. 1e6);
-              summary ])
-          runs)
-      measured
+  let pave jobs =
+    Icp.Solver.pave_with_stats
+      ~config:{ Icp.Solver.default_config with epsilon = 0.005; jobs }
+      ring ring_box
+  in
+  let smc jobs = Smc.Runner.estimate ~jobs ~eps:smc_eps ~alpha:0.05 smc_prob in
+  let decide_records =
+    kernel "icp-decide-sphere"
+      ~answer:(fun (r, _) -> verdict_kind r)
+      ~counts:(fun (_, s) ->
+        search_counts s @ [ ("certifications", s.Icp.Solver.certifications) ])
+      decide
+  in
+  let pave_records =
+    kernel "icp-pave-ring"
+      ~answer:(fun ((p : Icp.Solver.paving), _) ->
+        Fmt.str "%d/%d/%d leaves, digest %s" (List.length p.sat)
+          (List.length p.unsat) (List.length p.undecided)
+          (boxes_digest (List.map sort [ p.sat; p.unsat; p.undecided ])))
+      ~counts:(fun (_, s) -> search_counts s)
+      pave
+  in
+  let smc_records =
+    kernel "smc-estimate-p53"
+      ~answer:(fun e -> Fmt.str "p=%.3f" e.Smc.Estimate.p_hat)
+      ~counts:(fun e ->
+        [ ("samples", e.Smc.Estimate.n); ("successes", e.Smc.Estimate.successes) ])
+      ~values:(fun e -> [ ("p_hat", e.Smc.Estimate.p_hat) ])
+      (* different jobs consume different PRNG streams; both estimates
+         carry the same Chernoff ±ε bound *)
+      ~agree:(fun a b ->
+        Float.abs (a.Smc.Estimate.p_hat -. b.Smc.Estimate.p_hat)
+        <= 2.0 *. smc_eps)
+      smc
+  in
+  let records = decide_records @ pave_records @ smc_records in
+  let result r =
+    match r.workload with
+    | "icp-decide-sphere" ->
+        Fmt.str "%s, %d boxes, %d certs" r.answer (count r "boxes_processed")
+          (count r "certifications")
+    | "icp-pave-ring" ->
+        Fmt.str "%s, %d boxes, %d splits" r.answer (count r "boxes_processed")
+          (count r "splits")
+    | _ -> Fmt.str "%s, n=%d" r.answer (count r "samples")
   in
   Report.print
     [ Report.text
@@ -755,202 +860,41 @@ let p1 ?(quick = false) () =
       Report.text "leaf set / 2-eps estimate corridor)";
       Report.table
         ~header:
-          [ "kernel"; "jobs"; "wall"; "speedup"; "steals"; "refills"; "idle";
+          [ "kernel"; "config"; "wall"; "speedup"; "steals"; "refills"; "idle";
             "result" ]
-        rows ];
-  (* machine-readable dump *)
-  let buf = Buffer.create 2048 in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\n\
-       \  \"cores\": %d,\n\
-       \  \"default_jobs\": %d,\n\
-       \  \"domain_cap\": %d,\n\
-       \  \"quick\": %b,\n\
-       \  \"note\": \"1-core containers multiplex jobs > cores onto the available domains; speedups are bounded by cores, and the acceptance bar is jobs=2 >= 1.0x (no coordination overhead). Scheduler counters come from one extra untimed run per cell with metrics enabled; timed rounds ran with metrics off. wall_s is the per-cell minimum over all samples (each run preceded by a major GC); speedup for jobs=k is the median of adjacent-pair ratios against jobs=1 (the two cells timed back to back, order alternating per round), which cancels the multi-second throttling waves of a shared container.\",\n\
-       \  \"kernels\": [\n"
-       (Domain.recommended_domain_count ())
-       (Parallel.Pool.default_jobs ())
-       (Parallel.Pool.domain_cap ())
-       quick);
-  List.iteri
-    (fun i (name, runs) ->
-      Buffer.add_string buf (Printf.sprintf "    {\"name\": %S, \"runs\": [\n" name);
-      List.iteri
-        (fun j (jobs, (_, (boxes, splits, prunings), sched, dt, speedup, _)) ->
-          Buffer.add_string buf
-            (Printf.sprintf
-               "      %s{\"jobs\": %d, \"wall_s\": %.6f, \"ns_per_op\": %.0f, \
-                \"speedup\": %.2f, \"boxes_processed\": %d, \"splits\": %d, \
-                \"prunings\": %d, \"steals\": %d, \"steal_fails\": %d, \
-                \"idle_ns\": %d, \"lease_refills\": %d, \"deque_depth_p50\": \
-                %d, \"deque_depth_p99\": %d}%s\n"
-               (if j = 0 then "" else ", ")
-               jobs dt (dt *. 1e9) speedup boxes splits prunings
-               sched.steals sched.steal_fails sched.idle_ns sched.lease_refills
-               sched.deque_p50 sched.deque_p99
-               (if j = List.length runs - 1 then "" else "")))
-        runs;
-      Buffer.add_string buf
-        (Printf.sprintf "    ]}%s\n"
-           (if i = List.length measured - 1 then "" else ",")))
-    measured;
-  Buffer.add_string buf "  ]\n}\n";
-  let oc = open_out "BENCH_icp.json" in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Report.print [ Report.text "wrote BENCH_icp.json" ]
-
-(* ------------------------------------------------------------------ *)
-(* T1: tree-walking vs tape-compiled kernels (jobs = 1)                *)
-(* ------------------------------------------------------------------ *)
-
-(* Same workload through both code paths: the tree walkers
-   (BIOMC_NO_TAPE semantics, forced via [Expr.Tape.set_enabled false])
-   and the flat SSA tapes.  Tape compilation happens once per query —
-   inside the timed region for the first call, as in the solver —
-   and the verdicts are checked to agree call-for-call.  Results land
-   in BENCH_tape.json (ns/op per path and the speedup column). *)
-
-let t1 () =
-  section "T1  Tape-compiled kernels vs tree walkers (jobs = 1)";
-  let with_tapes flag f =
-    Expr.Tape.set_enabled flag;
-    Fun.protect ~finally:Expr.Tape.clear_enabled_override f
-  in
-  let time_reps reps f =
-    let _, dt = timed (fun () -> for _ = 1 to reps do ignore (f ()) done) in
-    dt /. float_of_int reps *. 1e9
-  in
-  (* The container's clock is noisy (external throttling), so each
-     kernel alternates tree and tape timing rounds and keeps the
-     per-path minimum: spikes hit both paths alike and the min filters
-     them out. *)
-  let measure_pair ?(rounds = 5) ~reps run =
-    let tree = ref infinity and tape = ref infinity in
-    for _ = 1 to rounds do
-      let t = with_tapes false (fun () -> time_reps reps run) in
-      if t < !tree then tree := t;
-      let t = with_tapes true (fun () -> time_reps reps run) in
-      if t < !tape then tape := t
-    done;
-    (!tree, !tape)
-  in
-  (* HC4 fixpoint: enzyme-kinetics conservation/equilibrium constraints
-     (the shape Reach.Checker feeds the contractor) over a grid of query
-     boxes, the contractor compiled once per query as Icp.Solver does.
-     The conservation laws make the fixpoint iterate: contraction of one
-     variable propagates to the others over several rounds. *)
-  let hc4_kernel () =
-    let c t target = { Icp.Contractor.term = Expr.Parse.term t; target } in
-    let eq = I.make (-1e-4) 1e-4 in
-    let cs =
-      [ c "e + cx - 1" eq;
-        c "s + cx + p - 2" eq;
-        c "2*s*e - cx" eq;
-        c "cx / (s + 1/2) - p" (I.make (-0.1) 0.1);
-        c "s^2 + p^2" (I.make 0.0 4.0) ]
-    in
-    let grid =
-      List.concat_map
-        (fun i ->
-          List.map
-            (fun j ->
-              let sc = 2.0 /. 8.0 in
-              Box.of_list
-                [ ("s", I.make (float_of_int i *. sc) ((float_of_int i +. 1.0) *. sc));
-                  ("p", I.make (float_of_int j *. sc) ((float_of_int j +. 1.0) *. sc));
-                  ("e", I.make 0.0 1.0); ("cx", I.make 0.0 1.0) ])
-            (List.init 8 Fun.id))
-        (List.init 8 Fun.id)
-    in
-    let run () =
-      let contract = Icp.Contractor.contractor ~max_rounds:20 cs in
-      List.fold_left
-        (fun acc b -> if Option.is_none (contract b) then acc + 1 else acc)
-        0 grid
-    in
-    let pruned_tree = with_tapes false run in
-    let pruned_tape = with_tapes true run in
-    assert (pruned_tree = pruned_tape);
-    let tree, tape = measure_pair ~reps:12 run in
-    ("hc4-fixpoint", tree, tape, Fmt.str "%d/64 boxes pruned, both paths" pruned_tree)
-  in
-  (* Validated enclosure: Picard + Taylor steps on a 2-D oscillator. *)
-  let enclosure_kernel () =
-    let sys =
-      Ode.System.of_strings ~vars:[ "x"; "y" ] ~params:[ "w" ]
-        ~rhs:[ ("x", "w*y"); ("y", "-w*x") ]
-    in
-    let params = Box.of_list [ ("w", I.make 1.9 2.1) ] in
-    let init =
-      Box.of_list [ ("x", I.make 0.99 1.01); ("y", I.of_float 0.0) ]
-    in
-    let run () =
-      (Ode.Enclosure.flow ~params ~init ~t_end:0.5 sys).Ode.Enclosure.final
-    in
-    let f_tree = with_tapes false run in
-    let f_tape = with_tapes true run in
-    assert (Box.equal f_tree f_tape);
-    let tree, tape = measure_pair ~reps:40 run in
-    ("picard-taylor-flow", tree, tape, "identical final boxes")
-  in
-  (* SMC sampling hot loop: the compiled vector field driving RK4
-     trajectories of the p53 module (what every SMC sample executes). *)
-  let smc_kernel () =
-    let sys = Biomodels.Classics.p53_mdm2 in
-    let run () =
-      Ode.Integrate.simulate ~method_:(Ode.Integrate.Rk4 0.05)
-        ~params:[ ("damage", 1.0) ]
-        ~init:[ ("p53", 0.05); ("mdm2", 0.05) ]
-        ~t_end:30.0 sys
-    in
-    let tree, tape = measure_pair ~reps:8 run in
-    ("smc-trajectory-batch", tree, tape, "RK4 p53 trajectory")
-  in
-  let results = [ hc4_kernel (); enclosure_kernel (); smc_kernel () ] in
-  let fmt_ns ns =
-    if ns > 1e9 then Fmt.str "%.2f s" (ns /. 1e9)
-    else if ns > 1e6 then Fmt.str "%.2f ms" (ns /. 1e6)
-    else if ns > 1e3 then Fmt.str "%.2f us" (ns /. 1e3)
-    else Fmt.str "%.0f ns" ns
-  in
-  Report.print
-    [ Report.table
-        ~header:[ "kernel"; "tree ns/op"; "tape ns/op"; "speedup"; "check" ]
         (List.map
-           (fun (name, tree, tape, note) ->
-             [ name; fmt_ns tree; fmt_ns tape;
-               Fmt.str "%.2fx" (tree /. tape); note ])
-           results) ];
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf "{\n  \"jobs\": 1,\n  \"kernels\": [\n";
-  List.iteri
-    (fun i (name, tree, tape, _) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"name\": %S, \"tree_ns_per_op\": %.0f, \"tape_ns_per_op\": %.0f, \"speedup\": %.3f}%s\n"
-           name tree tape (tree /. tape)
-           (if i = List.length results - 1 then "" else ",")))
-    results;
-  Buffer.add_string buf "  ]\n}\n";
-  let oc = open_out "BENCH_tape.json" in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Report.print [ Report.text "wrote BENCH_tape.json" ]
+           (fun r ->
+             [ r.workload; r.config; secs r.wall_s; Fmt.str "%.2fx" r.speedup;
+               string_of_int (count r "steals");
+               string_of_int (count r "lease_refills");
+               Fmt.str "%.1fms" (float_of_int (count r "idle_ns") /. 1e6);
+               result r ])
+           records) ];
+  write_json "BENCH_icp.json" ~section:"P1" ~quick ~rounds
+    ~meta:
+      [ ("cores", jint (Domain.recommended_domain_count ()));
+        ("default_jobs", jint (Parallel.Pool.default_jobs ()));
+        ("domain_cap", jint (Parallel.Pool.domain_cap ()));
+        ( "note",
+          Json.Str
+            "jobs beyond the core count are multiplexed onto the available \
+             domains, so speedups are bounded by cores. Scheduler counters \
+             (steals .. deque_depth_p99) come from one extra untimed run per \
+             config with metrics enabled; timed rounds ran with metrics off." ) ]
+    records
 
 (* ------------------------------------------------------------------ *)
 (* C1: subsumption caches off vs on (jobs = 1)                         *)
 (* ------------------------------------------------------------------ *)
 
-(* Each kernel runs the same workload twice: once with every cache
-   disabled ([Cache.Off] — exactly the BIOMC_NO_CACHE=1 code path) and
-   once with the default exact-hit policy, clearing all caches before
-   each timed run so both start cold.  The results are checked to be
+(* Each kernel runs the same workload with every cache disabled
+   ([Cache.Off] — exactly the BIOMC_NO_CACHE=1 code path) and with the
+   default exact-hit policy, clearing all caches before each timed run
+   so every run starts cold.  The answers are checked to be
    byte-identical (exact replays are identity-preserving), so the
    speedup column is pure memoization gain.  Results land in
    BENCH_cache.json, together with the SMC allocation before/after row
-   (satellite: the in-place RKF45 loop vs the old allocating steppers).
+   (the in-place RKF45 loop vs the old allocating steppers).
 
    Passed [~quick:true] (the CI smoke job), the workloads shrink. *)
 
@@ -958,30 +902,22 @@ let c1 ?(quick = false) () =
   section
     (if quick then "C1  Subsumption caches off vs on (jobs = 1, quick)"
      else "C1  Subsumption caches off vs on (jobs = 1)");
-  (* Each policy is timed over a few rounds, caches cleared before each
-     so every round starts cold, keeping the per-round minimum (the
-     container clock is noisy; see T1). *)
-  let measure name ~canon ~note run =
-    let rounds = if quick then 2 else 3 in
-    let time_policy p =
-      Cache.set_policy p;
-      Fun.protect ~finally:Cache.clear_policy_override (fun () ->
-          let best = ref infinity and result = ref None in
-          for _ = 1 to rounds do
-            Cache.clear ();
-            let r, dt = timed run in
-            if dt < !best then best := dt;
-            result := Some r
-          done;
-          (Option.get !result, !best))
-    in
-    let r_off, t_off = time_policy Cache.Off in
-    let r_on, t_on = time_policy Cache.Exact in
-    if canon r_off <> canon r_on then
-      failwith
-        (Printf.sprintf "C1 %s: cached result differs from the uncached run"
-           name);
-    (name, t_off, t_on, note)
+  let rounds = if quick then 2 else 3 in
+  let policy label p =
+    config label ()
+      ~enter:(fun () ->
+        Cache.set_policy p;
+        Cache.clear ())
+      ~leave:Cache.clear_policy_override
+  in
+  let cached name ~note ~answer run =
+    match
+      measure ~section:"C1" ~workload:name ~rounds ~answer
+        [ policy "cache off" Cache.Off; policy "cache on" Cache.Exact ]
+        run
+    with
+    | [ (_, off); (_, on) ] -> (note, off, on)
+    | _ -> assert false
   in
   let canon_boxes boxes =
     String.concat ";" (List.sort compare (List.map Box.to_string boxes))
@@ -1019,30 +955,27 @@ let c1 ?(quick = false) () =
         ~data
     in
     let epsilons = if quick then [ 0.1; 0.05; 0.02 ] else [ 0.1; 0.05; 0.02; 0.01 ] in
-    let run () =
-      List.map
-        (fun eps ->
-          Synth.Biopsy.synthesize
-            ~config:{ Synth.Biopsy.default_config with epsilon = eps }
-            prob)
-        epsilons
-    in
-    let canon rs =
-      String.concat "\n"
-        (List.map
-           (fun (r : Synth.Biopsy.result) ->
-             Printf.sprintf "%s|%s|%s|%d"
-               (canon_boxes r.Synth.Biopsy.consistent)
-               (canon_boxes r.Synth.Biopsy.inconsistent)
-               (canon_boxes r.Synth.Biopsy.undecided)
-               r.Synth.Biopsy.boxes_explored)
-           rs)
-    in
-    measure "biopsy-refinement-sweep" ~canon
+    cached "biopsy-refinement-sweep"
       ~note:
         (Fmt.str "eps %s, identical pavings"
            (String.concat ">" (List.map (Fmt.str "%g") epsilons)))
-      run
+      ~answer:(fun rs ->
+        String.concat "\n"
+          (List.map
+             (fun (r : Synth.Biopsy.result) ->
+               Printf.sprintf "%s|%s|%s|%d"
+                 (canon_boxes r.Synth.Biopsy.consistent)
+                 (canon_boxes r.Synth.Biopsy.inconsistent)
+                 (canon_boxes r.Synth.Biopsy.undecided)
+                 r.Synth.Biopsy.boxes_explored)
+             rs))
+      (fun () ->
+        List.map
+          (fun eps ->
+            Synth.Biopsy.synthesize
+              ~config:{ Synth.Biopsy.default_config with epsilon = eps }
+              prob)
+          epsilons)
   in
   (* Reach re-verification: the same bounded-reachability query checked
      twice (tool-restart replay) and then a second goal over the same
@@ -1060,22 +993,20 @@ let c1 ?(quick = false) () =
         ~goal:{ E.goal_modes = []; predicate = Expr.Parse.formula pred }
         ~k:0 ~time_bound:1.0 a
     in
-    let run () =
-      let r1 = C.check (pb "x <= 0.3") in
-      let r2 = C.check (pb "x <= 0.3") in
-      let r3 = C.check (pb "x <= 0.5") in
-      Fmt.str "%a / %a / %a" C.pp_result r1 C.pp_result r2 C.pp_result r3
-    in
-    measure "reach-shared-segments" ~canon:Fun.id
-      ~note:"goal1, goal1 again, goal2; identical verdicts" run
+    cached "reach-shared-segments" ~answer:Fun.id
+      ~note:"goal1, goal1 again, goal2; identical verdicts" (fun () ->
+        let r1 = C.check (pb "x <= 0.3") in
+        let r2 = C.check (pb "x <= 0.3") in
+        let r3 = C.check (pb "x <= 0.5") in
+        Fmt.str "%a / %a / %a" C.pp_result r1 C.pp_result r2 C.pp_result r3)
   in
   (* Solver verdict stores: repeated delta-decision and repeated paving
      of the same instance — refuted boxes and unsat paving leaves are
      replayed from the store on the second pass. *)
-  let solver_kernel () =
-    (* Enzyme-kinetics equilibrium (the hc4-fixpoint shape of T1): four
-       coupled constraints make each HC4 fixpoint iterate, so a replayed
-       refutation saves real contraction work. *)
+  let solver_kernels () =
+    (* Enzyme-kinetics equilibrium: four coupled constraints make each
+       HC4 fixpoint iterate, so a replayed refutation saves real
+       contraction work. *)
     let enzyme =
       Expr.Parse.formula
         "e + cx = 1 and s + cx + p = 2 and 2*s*e = cx and cx / (s + 1/2) = p"
@@ -1099,8 +1030,7 @@ let c1 ?(quick = false) () =
     in
     let verdict = function
       | Icp.Solver.Delta_sat w -> "delta-sat " ^ Box.to_string w.Icp.Solver.box
-      | Icp.Solver.Unsat -> "unsat"
-      | Icp.Solver.Unknown _ -> "unknown"
+      | r -> verdict_kind r
     in
     let pav (p : Icp.Solver.paving) =
       Printf.sprintf "%s|%s|%s"
@@ -1109,19 +1039,17 @@ let c1 ?(quick = false) () =
         (canon_boxes p.Icp.Solver.undecided)
     in
     let decide_row =
-      measure "decide-repeat" ~canon:Fun.id
-        ~note:"enzyme equilibrium x2; identical verdicts"
-        (fun () ->
+      cached "decide-repeat" ~answer:Fun.id
+        ~note:"enzyme equilibrium x2; identical verdicts" (fun () ->
           let d1 = Icp.Solver.decide ~config:dcfg enzyme tbox in
           let d2 = Icp.Solver.decide ~config:dcfg enzyme tbox in
           verdict d1 ^ "\n" ^ verdict d2)
     in
-    (* The pave row is the store's worst case on purpose: ring
-       contraction is sub-microsecond per box, so the replay saves about
-       what the cold inserts cost — near break-even, reported as-is. *)
+    (* The store's worst case on purpose: ring contraction is
+       sub-microsecond per box, so the replay saves about what the cold
+       inserts cost — near break-even, reported as-is. *)
     let pave_row =
-      measure "pave-repeat" ~canon:Fun.id
-        ~note:"ring x2; identical pavings"
+      cached "pave-repeat" ~answer:Fun.id ~note:"ring x2; identical pavings"
         (fun () ->
           let p1 = Icp.Solver.pave ~config:pcfg ring rbox in
           let p2 = Icp.Solver.pave ~config:pcfg ring rbox in
@@ -1129,305 +1057,267 @@ let c1 ?(quick = false) () =
     in
     [ decide_row; pave_row ]
   in
-  let kernels = [ biopsy_kernel (); reach_kernel () ] @ solver_kernel () in
+  let kernels = [ biopsy_kernel (); reach_kernel () ] @ solver_kernels () in
   Report.print
     [ Report.table
         ~header:[ "kernel"; "cache off"; "cache on"; "speedup"; "check" ]
         (List.map
-           (fun (name, t_off, t_on, note) ->
-             [ name; Fmt.str "%.3fs" t_off; Fmt.str "%.3fs" t_on;
-               Fmt.str "%.2fx" (t_off /. t_on); note ])
+           (fun (note, off, on) ->
+             [ off.workload; secs off.wall_s; secs on.wall_s;
+               Fmt.str "%.2fx" on.speedup; note ])
            kernels);
       Report.text "cache-on rounds under the default exact policy: %s"
         (Cache.summary ()) ];
-  (* SMC allocation satellite: the pre-optimization RKF45 driver (the
-     public allocating [rkf45_step] per step, fresh arrays throughout)
-     against the in-place [simulate] loop, on the same p53 trajectory
-     every SMC sample executes.  The arithmetic is unchanged, so the
-     traces must agree bit for bit. *)
-  let smc_alloc =
-    let sys = Biomodels.Classics.p53_mdm2 in
-    let params = [ ("damage", 1.0) ] in
-    let init = [ ("p53", 0.05); ("mdm2", 0.05) ] in
-    let t_end = 30.0 in
-    let rtol, atol, h0, h_max =
-      match Ode.Integrate.default_rkf45 with
-      | Ode.Integrate.Rkf45 { rtol; atol; h0; h_max } -> (rtol, atol, h0, h_max)
-      | _ -> assert false
-    in
-    let before () =
-      let f = Ode.System.compile ~param_env:params sys in
-      let y0 =
-        Array.of_list
-          (List.map (fun v -> List.assoc v init) (Ode.System.vars sys))
-      in
-      let n = Array.length y0 in
-      let times = ref [ 0.0 ] and states = ref [ y0 ] in
-      let t = ref 0.0 and y = ref y0 and h = ref h0 in
-      let continue_ = ref true in
-      let safety = 0.9 and h_min = 1e-12 in
-      let accept tacc ynew =
-        t := tacc;
-        y := ynew;
-        times := tacc :: !times;
-        states := ynew :: !states
-      in
-      while !continue_ && !t < t_end -. 1e-15 do
-        let hstep = Float.min !h (t_end -. !t) in
-        let yc = !y in
-        let y4, y5 = Ode.Integrate.rkf45_step f !t yc hstep in
-        let err = ref 0.0 in
-        for i = 0 to n - 1 do
-          let sc =
-            atol +. (rtol *. Float.max (Float.abs yc.(i)) (Float.abs y4.(i)))
-          in
-          let e = Float.abs (y5.(i) -. y4.(i)) /. sc in
-          if e > !err then err := e
-        done;
-        if Float.is_nan !err then begin
-          if hstep <= h_min *. 2.0 then continue_ := false
-          else h := hstep /. 10.0
-        end
-        else if !err <= 1.0 then begin
-          accept (!t +. hstep) y5;
-          let grow = safety *. Float.pow (1.0 /. Float.max !err 1e-10) 0.2 in
-          h := Float.min h_max (hstep *. Float.min 4.0 grow)
-        end
-        else begin
-          let shrink = safety *. Float.pow (1.0 /. !err) 0.25 in
-          h := Float.max (h_min *. 2.0) (hstep *. Float.max 0.1 shrink);
-          if !h <= h_min *. 4.0 then accept (!t +. hstep) y4
-        end
-      done;
-      (Array.of_list (List.rev !times), Array.of_list (List.rev !states))
-    in
-    let after () =
-      let tr = Ode.Integrate.simulate ~params ~init ~t_end sys in
-      (tr.Ode.Integrate.times, tr.Ode.Integrate.states)
-    in
-    let tb, sb = before () and ta, sa = after () in
-    if not (tb = ta && sb = sa) then
-      failwith "C1 smc-alloc: in-place trace differs from the allocating one";
-    let reps = if quick then 3 else 8 in
-    let rounds = if quick then 2 else 4 in
-    let best f =
-      let best = ref infinity in
-      for _ = 1 to rounds do
-        let _, dt = timed (fun () -> for _ = 1 to reps do ignore (f ()) done) in
-        let ns = dt /. float_of_int reps *. 1e9 in
-        if ns < !best then best := ns
-      done;
-      !best
-    in
-    let ns_before = best before and ns_after = best after in
-    Report.print
-      [ Report.table
-          ~header:[ "smc float path"; "ns/trajectory"; "speedup"; "check" ]
-          [ [ "allocating steppers (before)"; Fmt.str "%.0f" ns_before; "1.00x";
-              "bit-identical traces" ];
-            [ "in-place loop (after)"; Fmt.str "%.0f" ns_after;
-              Fmt.str "%.2fx" (ns_before /. ns_after); "" ] ] ];
-    (ns_before, ns_after)
+  (* SMC allocation row: the pre-optimization RKF45 driver (the public
+     allocating [rkf45_step] per step, fresh arrays throughout) against
+     the in-place [simulate] loop, on the same p53 trajectory every SMC
+     sample executes.  The arithmetic is unchanged, so the traces must
+     agree bit for bit. *)
+  let sys = Biomodels.Classics.p53_mdm2 in
+  let params = [ ("damage", 1.0) ] in
+  let init = [ ("p53", 0.05); ("mdm2", 0.05) ] in
+  let t_end = 30.0 in
+  let rtol, atol, h0, h_max =
+    match Ode.Integrate.default_rkf45 with
+    | Ode.Integrate.Rkf45 { rtol; atol; h0; h_max } -> (rtol, atol, h0, h_max)
+    | _ -> assert false
   in
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf
-    (Printf.sprintf "{\n  \"jobs\": 1,\n  \"policy_on\": \"exact\",\n  \"quick\": %b,\n  \"kernels\": [\n"
-       quick);
-  List.iteri
-    (fun i (name, t_off, t_on, _) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"name\": %S, \"cache_off_s\": %.6f, \"cache_on_s\": %.6f, \"speedup\": %.3f, \"identical\": true}%s\n"
-           name t_off t_on (t_off /. t_on)
-           (if i = List.length kernels - 1 then "" else ",")))
-    kernels;
-  let ns_before, ns_after = smc_alloc in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  ],\n  \"smc_alloc\": {\"before_ns_per_trajectory\": %.0f, \"after_ns_per_trajectory\": %.0f, \"speedup\": %.3f, \"identical\": true}\n}\n"
-       ns_before ns_after (ns_before /. ns_after));
-  let oc = open_out "BENCH_cache.json" in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Report.print [ Report.text "wrote BENCH_cache.json" ]
+  let before () =
+    let f = Ode.System.compile ~param_env:params sys in
+    let y0 =
+      Array.of_list
+        (List.map (fun v -> List.assoc v init) (Ode.System.vars sys))
+    in
+    let n = Array.length y0 in
+    let times = ref [ 0.0 ] and states = ref [ y0 ] in
+    let t = ref 0.0 and y = ref y0 and h = ref h0 in
+    let continue_ = ref true in
+    let safety = 0.9 and h_min = 1e-12 in
+    let accept tacc ynew =
+      t := tacc;
+      y := ynew;
+      times := tacc :: !times;
+      states := ynew :: !states
+    in
+    while !continue_ && !t < t_end -. 1e-15 do
+      let hstep = Float.min !h (t_end -. !t) in
+      let yc = !y in
+      let y4, y5 = Ode.Integrate.rkf45_step f !t yc hstep in
+      let err = ref 0.0 in
+      for i = 0 to n - 1 do
+        let sc =
+          atol +. (rtol *. Float.max (Float.abs yc.(i)) (Float.abs y4.(i)))
+        in
+        let e = Float.abs (y5.(i) -. y4.(i)) /. sc in
+        if e > !err then err := e
+      done;
+      if Float.is_nan !err then begin
+        if hstep <= h_min *. 2.0 then continue_ := false
+        else h := hstep /. 10.0
+      end
+      else if !err <= 1.0 then begin
+        accept (!t +. hstep) y5;
+        let grow = safety *. Float.pow (1.0 /. Float.max !err 1e-10) 0.2 in
+        h := Float.min h_max (hstep *. Float.min 4.0 grow)
+      end
+      else begin
+        let shrink = safety *. Float.pow (1.0 /. !err) 0.25 in
+        h := Float.max (h_min *. 2.0) (hstep *. Float.max 0.1 shrink);
+        if !h <= h_min *. 4.0 then accept (!t +. hstep) y4
+      end
+    done;
+    (Array.of_list (List.rev !times), Array.of_list (List.rev !states))
+  in
+  let after () =
+    let tr = Ode.Integrate.simulate ~params ~init ~t_end sys in
+    (tr.Ode.Integrate.times, tr.Ode.Integrate.states)
+  in
+  (* One timed run integrates [reps] trajectories: a single one is too
+     short for the clock. *)
+  let reps = if quick then 3 else 8 in
+  let rec trajectories f n =
+    let trace = f () in
+    if n <= 1 then trace else trajectories f (n - 1)
+  in
+  let per_trajectory r =
+    let ns = r.wall_s /. float_of_int reps *. 1e9 in
+    { r with values = [ ("ns_per_trajectory", ns) ] }
+  in
+  let smc_alloc =
+    List.map
+      (fun (_, r) -> per_trajectory r)
+      (measure ~section:"C1" ~workload:"smc-alloc" ~rounds
+         ~answer:(fun trace ->
+           Digest.to_hex (Digest.string (Marshal.to_string trace [])))
+         [ config "allocating steppers (before)" before;
+           config "in-place loop (after)" after ]
+         (fun f -> trajectories f reps))
+  in
+  Report.print
+    [ Report.table
+        ~header:[ "smc float path"; "ns/trajectory"; "speedup"; "check" ]
+        (List.mapi
+           (fun i r ->
+             [ r.config; Fmt.str "%.0f" (List.assoc "ns_per_trajectory" r.values);
+               Fmt.str "%.2fx" r.speedup;
+               (if i = 0 then "bit-identical traces" else "") ])
+           smc_alloc) ];
+  write_json "BENCH_cache.json" ~section:"C1" ~quick ~rounds
+    ~meta:[ ("jobs", jint 1); ("policy_on", Json.Str "exact") ]
+    (List.concat_map (fun (_, off, on) -> [ off; on ]) kernels @ smc_alloc)
 
 (* ------------------------------------------------------------------ *)
-(* O1: telemetry overhead guard                                        *)
+(* O1 / J1: observability overhead on a box-churn worst case           *)
 (* ------------------------------------------------------------------ *)
 
-(* Honesty guard for the telemetry subsystem: the same workload runs
+(* The workload of both overhead guards: a tangency decide and a ring
+   paving, whose per-box work is sub-microsecond, so per-span and
+   per-record costs show at full strength.  It must dwarf clock noise
+   for the overhead ratio to mean anything, so even quick mode keeps
+   delta small enough for a few tens of ms per run.  Caches are off (the
+   callers hold [Cache.Off]) so every run repeats the full search. *)
+let box_churn ~quick =
+  let tangency = Expr.Parse.formula "x^2 + y^2 = 1 and x*y = 1/2" in
+  let tangency_box =
+    Box.of_list [ ("x", I.make 0.0 2.0); ("y", I.make 0.0 2.0) ]
+  in
+  let ring = Expr.Parse.formula "x^2 + y^2 <= 1 and x^2 + y^2 >= 1/2" in
+  let rbox = Box.of_list [ ("x", I.make (-1.5) 1.5); ("y", I.make (-1.5) 1.5) ] in
+  let dcfg =
+    { Icp.Solver.default_config with
+      delta = (if quick then 3e-4 else 1e-4);
+      epsilon = (if quick then 3e-5 else 1e-5) }
+  in
+  let pcfg =
+    { Icp.Solver.default_config with epsilon = (if quick then 0.02 else 0.01) }
+  in
+  fun () ->
+    let d = Icp.Solver.decide ~config:dcfg tangency tangency_box in
+    let p = Icp.Solver.pave ~config:pcfg ring rbox in
+    let witness =
+      match d with Icp.Solver.Delta_sat w -> [ w.Icp.Solver.box ] | _ -> []
+    in
+    Printf.sprintf "%s, %d/%d/%d leaves, digest %s" (verdict_kind d)
+      (List.length p.sat) (List.length p.unsat) (List.length p.undecided)
+      (boxes_digest [ witness; p.sat; p.unsat; p.undecided ])
+
+let budget = 1.05
+
+let budget_line what overhead =
+  if overhead > budget then
+    Report.text "OVER BUDGET: %s overhead %.1f%% exceeds the 5%% budget" what
+      ((overhead -. 1.0) *. 100.0)
+  else
+    Report.text "%s overhead %.1f%% (budget 5%%)" what
+      ((overhead -. 1.0) *. 100.0)
+
+(* Honesty guard for the telemetry subsystem: the box-churn workload
    with telemetry fully disabled, with metrics only (counters +
-   histograms, no trace), and with tracing on.  The results must be
+   histograms, no trace), and with tracing on.  The answers must be
    identical — instrumentation observes the search, it never steers it —
    and the overhead ratios land in BENCH_telemetry.json with an explicit
    over_budget flag when metrics-only costs more than 5% over disabled
-   (recorded as measured, not hidden).  The metrics run's span
-   histograms are attached as the per-span breakdown section. *)
+   (recorded as measured, not hidden).  The trace ring is reset once, so
+   its event and drop counts cover every traced round; the per-span
+   breakdown comes from one extra untimed metrics run. *)
 
 let o1 ?(quick = false) () =
   section
     (if quick then "O1  Telemetry overhead: off vs metrics vs trace (quick)"
      else "O1  Telemetry overhead: off vs metrics vs trace");
-  let tangency = Expr.Parse.formula "x^2 + y^2 = 1 and x*y = 1/2" in
-  let tangency_box =
-    Box.of_list [ ("x", I.make 0.0 2.0); ("y", I.make 0.0 2.0) ]
-  in
-  let ring = Expr.Parse.formula "x^2 + y^2 <= 1 and x^2 + y^2 >= 1/2" in
-  let rbox = Box.of_list [ ("x", I.make (-1.5) 1.5); ("y", I.make (-1.5) 1.5) ] in
-  (* The workload must dwarf clock noise for the overhead ratio to mean
-     anything, so even quick mode keeps delta small enough for a few
-     tens of ms per run. *)
-  let dcfg =
-    { Icp.Solver.default_config with
-      delta = (if quick then 3e-4 else 1e-4);
-      epsilon = (if quick then 3e-5 else 1e-5) }
-  in
-  let pcfg =
-    { Icp.Solver.default_config with epsilon = (if quick then 0.02 else 0.01) }
-  in
-  let run () =
-    let d = Icp.Solver.decide ~config:dcfg tangency tangency_box in
-    let p = Icp.Solver.pave ~config:pcfg ring rbox in
-    (d, p)
-  in
   let rounds = if quick then 4 else 6 in
-  (* Caches off so every round repeats the full search; per-mode minimum
-     over the rounds filters the container's clock spikes (see T1). *)
   Cache.set_policy Cache.Off;
   Fun.protect ~finally:Cache.clear_policy_override @@ fun () ->
-  let measure setup =
-    Telemetry.reset ();
-    setup ();
-    Fun.protect ~finally:Telemetry.disable (fun () ->
-        let best = ref infinity and result = ref None in
-        for _ = 1 to rounds do
-          let r, dt = timed run in
-          if dt < !best then best := dt;
-          result := Some r
-        done;
-        (Option.get !result, !best))
-  in
-  let r_off, t_off = measure (fun () -> ()) in
-  let r_met, t_met = measure (fun () -> Telemetry.set_metrics true) in
-  let breakdown = Telemetry.Metrics.histograms () in
-  let r_trc, t_trc =
-    measure (fun () ->
-        Telemetry.set_metrics true;
-        Telemetry.set_trace true)
+  let run = box_churn ~quick in
+  Telemetry.reset ();
+  let records =
+    List.map snd
+      (measure ~section:"O1" ~workload:"box-churn" ~rounds ~answer:Fun.id
+         [ config "disabled" ();
+           config ~enter:(fun () -> Telemetry.set_metrics true)
+             ~leave:Telemetry.disable "metrics" ();
+           config
+             ~enter:(fun () ->
+               Telemetry.set_metrics true;
+               Telemetry.set_trace true)
+             ~leave:Telemetry.disable "metrics + trace" () ]
+         run)
   in
   let trace_events = Telemetry.Trace.events_recorded () in
   let trace_dropped = Telemetry.Trace.events_dropped () in
-  if not (r_off = r_met && r_off = r_trc) then
-    failwith "O1: telemetry-enabled run changed the results";
-  let metrics_overhead = t_met /. t_off and trace_overhead = t_trc /. t_off in
-  let budget = 1.05 in
-  let over_budget = metrics_overhead > budget in
+  Telemetry.reset ();
+  Telemetry.set_metrics true;
+  let breakdown =
+    Fun.protect ~finally:Telemetry.disable (fun () ->
+        ignore (run ());
+        Telemetry.Metrics.histograms ())
+  in
+  Telemetry.reset ();
+  let overhead r = 1.0 /. r.speedup in
+  let metrics_overhead, trace_overhead =
+    match records with
+    | [ _; met; trc ] -> (overhead met, overhead trc)
+    | _ -> assert false
+  in
   Report.print
     [ Report.table
         ~header:[ "mode"; "wall"; "vs disabled"; "check" ]
-        [ [ "disabled"; Fmt.str "%.3fs" t_off; "1.00x"; "identical results" ];
-          [ "metrics"; Fmt.str "%.3fs" t_met;
-            Fmt.str "%.2fx" metrics_overhead; "identical results" ];
-          [ "metrics + trace"; Fmt.str "%.3fs" t_trc;
-            Fmt.str "%.2fx" trace_overhead;
-            Fmt.str "%d events (%d dropped)" trace_events trace_dropped ] ];
-      (if over_budget then
-         Report.text
-           "OVER BUDGET: metrics-only overhead %.1f%% exceeds the 5%% budget"
-           ((metrics_overhead -. 1.0) *. 100.0)
-       else
-         Report.text "metrics-only overhead %.1f%% (budget 5%%)"
-           ((metrics_overhead -. 1.0) *. 100.0)) ];
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\n\
-       \  \"quick\": %b,\n\
-       \  \"rounds\": %d,\n\
-       \  \"disabled_s\": %.6f,\n\
-       \  \"metrics_s\": %.6f,\n\
-       \  \"trace_s\": %.6f,\n\
-       \  \"metrics_overhead\": %.4f,\n\
-       \  \"trace_overhead\": %.4f,\n\
-       \  \"budget\": %.2f,\n\
-       \  \"over_budget\": %b,\n\
-       \  \"identical\": true,\n\
-       \  \"trace_events\": %d,\n\
-       \  \"trace_dropped\": %d,\n\
-       \  \"breakdown\": [\n"
-       quick rounds t_off t_met t_trc metrics_overhead trace_overhead budget
-       over_budget trace_events trace_dropped);
-  List.iteri
-    (fun i (name, s) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"span\": %S, \"count\": %d, \"mean_ns\": %.0f, \"p50_ns\": %d, \"p90_ns\": %d}%s\n"
-           name s.Telemetry.Histogram.count
-           (Telemetry.Histogram.mean s)
-           (Telemetry.Histogram.quantile 0.5 s)
-           (Telemetry.Histogram.quantile 0.9 s)
-           (if i = List.length breakdown - 1 then "" else ",")))
-    breakdown;
-  Buffer.add_string buf "  ]\n}\n";
-  let oc = open_out "BENCH_telemetry.json" in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Telemetry.reset ();
-  Report.print [ Report.text "wrote BENCH_telemetry.json" ]
+        (List.mapi
+           (fun i r ->
+             [ r.config; secs r.wall_s; Fmt.str "%.2fx" (overhead r);
+               (if i < 2 then "identical results"
+                else Fmt.str "%d events (%d dropped)" trace_events trace_dropped) ])
+           records);
+      budget_line "metrics-only" metrics_overhead ];
+  write_json "BENCH_telemetry.json" ~section:"O1" ~quick ~rounds
+    ~meta:
+      [ ("budget", Json.Num budget);
+        ("metrics_overhead", Json.Num metrics_overhead);
+        ("trace_overhead", Json.Num trace_overhead);
+        ("over_budget", Json.Bool (metrics_overhead > budget));
+        ("trace_events", jint trace_events);
+        ("trace_dropped", jint trace_dropped);
+        ( "breakdown",
+          Json.Arr
+            (List.map
+               (fun (name, s) ->
+                 Json.Obj
+                   [ ("span", Json.Str name);
+                     ("count", jint s.Telemetry.Histogram.count);
+                     ("mean_ns", Json.Num (Float.round (Telemetry.Histogram.mean s)));
+                     ("p50_ns", jint (Telemetry.Histogram.quantile 0.5 s));
+                     ("p90_ns", jint (Telemetry.Histogram.quantile 0.9 s)) ])
+               breakdown) ) ]
+    records
 
-(* ------------------------------------------------------------------ *)
-(* J1: provenance-journal overhead: off vs memory sink                 *)
-(* ------------------------------------------------------------------ *)
-
-(* The O1 discipline applied to the journal: the same decide + pave
+(* The O1 discipline applied to the provenance journal: the box-churn
    workload with journaling off and with the memory sink recording the
-   full search DAG.  Verdicts must be identical (the journal observes
-   the search, it never steers it) and the slowdown is reported
-   honestly against the same 5% budget, alongside the record volume —
-   the journal writes one NDJSON line per search event, so its cost
-   scales with boxes processed, not with wall-clock. *)
+   full search DAG.  Answers must be identical (the journal observes the
+   search, it never steers it) and the slowdown is reported honestly
+   against the same 5% budget, alongside the record volume of one extra
+   journaled run — the journal writes one NDJSON line per search event,
+   so its cost scales with boxes processed, not with wall-clock. *)
 let j1 ?(quick = false) () =
   section
     (if quick then "J1  Journal overhead: off vs memory sink (quick)"
      else "J1  Journal overhead: off vs memory sink");
-  let tangency = Expr.Parse.formula "x^2 + y^2 = 1 and x*y = 1/2" in
-  let tangency_box =
-    Box.of_list [ ("x", I.make 0.0 2.0); ("y", I.make 0.0 2.0) ]
-  in
-  let ring = Expr.Parse.formula "x^2 + y^2 <= 1 and x^2 + y^2 >= 1/2" in
-  let rbox = Box.of_list [ ("x", I.make (-1.5) 1.5); ("y", I.make (-1.5) 1.5) ] in
-  let dcfg =
-    { Icp.Solver.default_config with
-      delta = (if quick then 3e-4 else 1e-4);
-      epsilon = (if quick then 3e-5 else 1e-5) }
-  in
-  let pcfg =
-    { Icp.Solver.default_config with epsilon = (if quick then 0.02 else 0.01) }
-  in
-  let run () =
-    let d = Icp.Solver.decide ~config:dcfg tangency tangency_box in
-    let p = Icp.Solver.pave ~config:pcfg ring rbox in
-    (d, p)
-  in
   let rounds = if quick then 4 else 6 in
   Cache.set_policy Cache.Off;
   Fun.protect ~finally:Cache.clear_policy_override @@ fun () ->
-  let measure sink =
-    Journal.set_sink sink;
-    Fun.protect ~finally:(fun () -> Journal.set_sink Journal.Off)
-      (fun () ->
-        let best = ref infinity and result = ref None in
-        for _ = 1 to rounds do
-          Journal.reset ();
-          let r, dt = timed run in
-          if dt < !best then best := dt;
-          result := Some r
-        done;
-        (Option.get !result, !best))
+  let run = box_churn ~quick in
+  let sink s =
+    config
+      ~enter:(fun () ->
+        Journal.set_sink s;
+        Journal.reset ())
+      ~leave:(fun () -> Journal.set_sink Journal.Off)
   in
-  let r_off, t_off = measure Journal.Off in
-  let r_jrn, t_jrn = measure Journal.Memory in
-  (* volume of one journaled round: re-record once, then read back *)
+  let records =
+    List.map snd
+      (measure ~section:"J1" ~workload:"box-churn" ~rounds ~answer:Fun.id
+         [ sink Journal.Off "disabled" (); sink Journal.Memory "memory sink" () ]
+         run)
+  in
   Journal.set_sink Journal.Memory;
   Journal.reset ();
   ignore (run ());
@@ -1435,64 +1325,176 @@ let j1 ?(quick = false) () =
   let dropped = Journal.dropped () in
   Journal.set_sink Journal.Off;
   Journal.reset ();
-  let records =
+  let records_n =
     String.fold_left (fun n c -> if c = '\n' then n + 1 else n) 0 doc
   in
-  if r_off <> r_jrn then failwith "J1: journaled run changed the results";
-  let overhead = t_jrn /. t_off in
-  let budget = 1.05 in
-  let over_budget = overhead > budget in
+  let overhead =
+    match records with [ _; jrn ] -> 1.0 /. jrn.speedup | _ -> assert false
+  in
   Report.print
     [ Report.table
         ~header:[ "mode"; "wall"; "vs disabled"; "check" ]
-        [ [ "disabled"; Fmt.str "%.3fs" t_off; "1.00x"; "identical results" ];
-          [ "memory sink"; Fmt.str "%.3fs" t_jrn; Fmt.str "%.2fx" overhead;
-            Fmt.str "%d records, %d KiB (%d dropped)" records
-              (String.length doc / 1024)
-              dropped ] ];
-      (if over_budget then
-         Report.text
-           "OVER BUDGET: journal overhead %.1f%% exceeds the 5%% budget"
-           ((overhead -. 1.0) *. 100.0)
-       else
-         Report.text "journal overhead %.1f%% (budget 5%%)"
-           ((overhead -. 1.0) *. 100.0)) ];
-  let oc = open_out "BENCH_journal.json" in
-  output_string oc
-    (Printf.sprintf
-       "{\n\
-       \  \"quick\": %b,\n\
-       \  \"rounds\": %d,\n\
-       \  \"disabled_s\": %.6f,\n\
-       \  \"journal_s\": %.6f,\n\
-       \  \"overhead\": %.4f,\n\
-       \  \"budget\": %.2f,\n\
-       \  \"over_budget\": %b,\n\
-       \  \"identical\": true,\n\
-       \  \"records\": %d,\n\
-       \  \"bytes\": %d,\n\
-       \  \"dropped\": %d\n\
-        }\n"
-       quick rounds t_off t_jrn overhead budget over_budget records
-       (String.length doc) dropped);
-  close_out oc;
-  Report.print [ Report.text "wrote BENCH_journal.json" ]
+        (List.mapi
+           (fun i r ->
+             [ r.config; secs r.wall_s;
+               Fmt.str "%.2fx" (1.0 /. r.speedup);
+               (if i = 0 then "identical results"
+                else
+                  Fmt.str "%d records, %d KiB (%d dropped)" records_n
+                    (String.length doc / 1024) dropped) ])
+           records);
+      budget_line "journal" overhead ];
+  write_json "BENCH_journal.json" ~section:"J1" ~quick ~rounds
+    ~meta:
+      [ ("budget", Json.Num budget);
+        ("overhead", Json.Num overhead);
+        ("over_budget", Json.Bool (overhead > budget));
+        ("records", jint records_n);
+        ("bytes", jint (String.length doc));
+        ("dropped", jint dropped) ]
+    records
 
 (* ------------------------------------------------------------------ *)
-(* N1: derivative pruning off vs on                                    *)
+(* N1 / AF1 / TM1: search layers off vs on                             *)
 (* ------------------------------------------------------------------ *)
 
-(* The derivative layer (Icp.Deriv: mean-value refutation, interval
-   Newton contraction, smear branching) against the plain HC4 search on
-   dependency-rich workloads — terms where variables occur repeatedly,
-   so the natural interval extension is loose and the first-order
-   expansions have something to win.  Both runs of every workload must
-   agree (decide: same verdict kind, checked here; pave: a sat leaf of
-   one run overlapping an unsat leaf of the other would be two
-   contradictory proofs — also checked here), so the reported reduction
-   in boxes processed is bought without changing any answer.  Caches
-   are off: each run does its own full search. *)
+(* Dependency-rich decide and pave workloads shared by the three
+   layer ablations — terms where variables occur repeatedly, so the
+   natural interval extension is loose and a first-order expansion, an
+   affine form or a Taylor model has something to win. *)
+let layer_workloads ~quick =
+  let dcfg =
+    { Icp.Solver.default_config with
+      delta = (if quick then 1e-3 else 1e-4);
+      epsilon = (if quick then 1e-4 else 1e-5) }
+  in
+  let pcfg =
+    { Icp.Solver.default_config with epsilon = (if quick then 0.02 else 0.01) }
+  in
+  let box l = Box.of_list (List.map (fun (x, lo, hi) -> (x, I.make lo hi)) l) in
+  [ (* x and y each satisfy the expanded cubic t^3 - 2t^2 + 1.25t =
+       0.25, whose real solutions are t = 1 and the double root t = 0.5;
+       no pair of solutions is 0.4-separated in the square, so the
+       conjunction is unsat.  The cubic mentions its variable three
+       times — exactly the dependency that makes the natural extension
+       loose. *)
+    ( "decide-cubic-separation", `Decide dcfg,
+      "x^3 - 2*x^2 + 1.25*x = 0.25 and y^3 - 2*y^2 + 1.25*y = 0.25 and \
+       (x - y)^2 >= 0.3",
+      box [ ("x", 0.0, 2.0); ("y", 0.0, 2.0) ] );
+    (* Two Michaelis–Menten channels sharing one rate law
+       v(s) = 1.2 s / (0.4 + s); on the conservation line s1 + s2 = 1
+       the total rate peaks at 4/3 < 1.35, so the demand is unsat.  Each
+       substrate occurs in both numerator and denominator of its rate. *)
+    ( "decide-mm-kinetics", `Decide dcfg,
+      "1.2*s1/(0.4 + s1) + 1.2*s2/(0.4 + s2) = 1.35 and s1 + s2 = 1",
+      box [ ("s1", 0.0, 1.0); ("s2", 0.0, 1.0) ] );
+    (* Biopsy-style parameter fit: admissible (k, a) for the
+       impulse-response model y(t) = a k t e^{-kt} against two data
+       bands (t = 1 and t = 3) — the algebraic form of a calibration
+       paving.  k occurs twice per observation. *)
+    ( "pave-impulse-fit", `Pave pcfg,
+      "a*k*exp(-k) >= 0.3 and a*k*exp(-k) <= 0.5 and \
+       3*a*k*exp(-3*k) >= 0.1 and 3*a*k*exp(-3*k) <= 0.3",
+      box [ ("k", 0.05, 2.5); ("a", 0.2, 3.0) ] );
+    (* A band paving where every atom mentions its variable thrice: split
+       to ε along its boundary and sat-certified by interval evaluation,
+       which the affine pass does not touch and the Taylor-model
+       certifier does. *)
+    ( "pave-cubic-band", `Pave pcfg,
+      "x^3 - 2*x^2 + 1.25*x >= 0.2 and x^3 - 2*x^2 + 1.25*x <= 0.3 and \
+       y^3 - 2*y^2 + 1.25*y >= 0.2 and y^3 - 2*y^2 + 1.25*y <= 0.3",
+      box [ ("x", 0.0, 2.0); ("y", 0.0, 2.0) ] );
+    (* Unsat-carving paving: the MM demand is infeasible over the whole
+       simplex, so the box count is pure refutation work. *)
+    ( "pave-mm-infeasible", `Pave pcfg,
+      "1.2*s1/(0.4 + s1) + 1.2*s2/(0.4 + s2) >= 1.35 and s1 + s2 <= 1",
+      box [ ("s1", 0.0, 1.0); ("s2", 0.0, 1.0) ] ) ]
 
+(* The one contradiction check of the layer ablations.  Two pavings of
+   the same box are proofs: a sat leaf of one sharing volume with an
+   unsat leaf of the other would be two contradictory proofs, not
+   noise.  Every sat leaf must also hold at its center (a leaf a
+   tightened certifier proved sat earlier is a new proof, not a
+   reclassification), and both runs must agree on feasibility. *)
+let pavings_agree formula (a : Icp.Solver.paving) (b : Icp.Solver.paving) =
+  let overlaps sats unsats =
+    List.exists
+      (fun s -> List.exists (fun u -> Box.volume (Box.inter s u) > 0.0) unsats)
+      sats
+  in
+  let centers_hold (p : Icp.Solver.paving) =
+    List.for_all
+      (fun leaf ->
+        Expr.Formula.eval_cert (Box.midpoint leaf) formula
+        <> Expr.Formula.Impossible)
+      p.sat
+  in
+  (not (overlaps a.sat b.unsat || overlaps b.sat a.unsat))
+  && centers_hold a && centers_hold b
+  && (a.sat <> []) = (b.sat <> [])
+
+(* Run the named workloads with [set false] then [set true] (caches are
+   off: each run does its own full search).  Decide arms must return
+   the same verdict kind; pave arms must pass [pavings_agree].  Returns
+   (kind, off record, on record) per workload. *)
+let layer_ablation ~section ~quick ~rounds ~set names =
+  let arms = [ config "off" false; config "on" true ] in
+  let pair kind = function
+    | [ (_, off); (_, on) ] -> (kind, off, on)
+    | _ -> assert false
+  in
+  List.filter_map
+    (fun (name, search, text, box) ->
+      if not (List.mem name names) then None
+      else
+        let formula = Expr.Parse.formula text in
+        match search with
+        | `Decide config ->
+            Some
+              (pair "decide"
+                 (measure ~section ~workload:name ~rounds
+                    ~answer:(fun (r, _) -> verdict_kind r)
+                    ~counts:(fun (_, s) -> search_counts s)
+                    arms
+                    (fun on ->
+                      set on;
+                      Icp.Solver.decide_with_stats ~config formula box)))
+        | `Pave config ->
+            Some
+              (pair "pave"
+                 (measure ~section ~workload:name ~rounds
+                    ~answer:(fun ((p : Icp.Solver.paving), _) ->
+                      if p.sat <> [] then "feasible" else "infeasible")
+                    ~counts:(fun (_, s) -> search_counts s)
+                    ~agree:(fun (a, _) (b, _) -> pavings_agree formula a b)
+                    arms
+                    (fun on ->
+                      set on;
+                      Icp.Solver.pave_with_stats ~config formula box))))
+    (layer_workloads ~quick)
+
+let print_ablation rows =
+  Report.print
+    [ Report.table
+        ~header:
+          [ "workload"; "kind"; "verdict"; "boxes off"; "boxes on";
+            "reduction"; "wall off"; "wall on" ]
+        (List.map
+           (fun (kind, off, on) ->
+             let b0 = count off "boxes_processed" in
+             let b1 = count on "boxes_processed" in
+             [ off.workload; kind; off.answer; string_of_int b0; string_of_int b1;
+               Fmt.str "%.2fx" (float_of_int b0 /. float_of_int b1);
+               secs off.wall_s; secs on.wall_s ])
+           rows) ]
+
+let ablation_records rows = List.concat_map (fun (_, off, on) -> [ off; on ]) rows
+
+(* N1: the derivative layer (Icp.Deriv: mean-value refutation, interval
+   Newton contraction, smear branching) against the plain HC4 search;
+   the reported reduction in boxes processed is bought without changing
+   any answer. *)
 let n1 ?(quick = false) () =
   section
     (if quick then "N1  Derivative pruning off vs on (quick)"
@@ -1502,169 +1504,24 @@ let n1 ?(quick = false) () =
       Cache.clear_policy_override ();
       Icp.Deriv.clear_enabled_override ())
   @@ fun () ->
-  let verdict_of = function
-    | Icp.Solver.Delta_sat _ -> "delta-sat"
-    | Icp.Solver.Unsat -> "unsat"
-    | Icp.Solver.Unknown _ -> "unknown"
-  in
-  let counts (s : Icp.Solver.stats) =
-    (s.Icp.Solver.boxes_processed, s.Icp.Solver.splits, s.Icp.Solver.prunings)
-  in
-  (* Workload 1 (decide, multi-atom): x and y each satisfy the expanded
-     cubic t^3 - 2t^2 + 1.25t = 0.25, whose real solutions are t = 1 and
-     the double root t = 0.5; no pair of solutions is 0.4-separated in
-     the square, so the conjunction is unsat.  The cubic mentions its
-     variable three times — exactly the dependency that makes the
-     natural extension loose and the mean-value form sharp. *)
-  let cubic =
-    Expr.Parse.formula
-      "x^3 - 2*x^2 + 1.25*x = 0.25 and y^3 - 2*y^2 + 1.25*y = 0.25 and \
-       (x - y)^2 >= 0.3"
-  in
-  let cubic_box =
-    Box.of_list [ ("x", I.make 0.0 2.0); ("y", I.make 0.0 2.0) ]
-  in
-  (* Workload 2 (decide, multi-atom): two Michaelis–Menten channels
-     sharing one rate law v(s) = 1.2 s / (0.4 + s); on the conservation
-     line s1 + s2 = 1 the total rate peaks at 4/3 < 1.35, so the demand
-     is unsat.  Each substrate occurs in both numerator and denominator
-     of its rate — again a dependency HC4 cannot see through. *)
-  let mm =
-    Expr.Parse.formula
-      "1.2*s1/(0.4 + s1) + 1.2*s2/(0.4 + s2) = 1.35 and s1 + s2 = 1"
-  in
-  let mm_box =
-    Box.of_list [ ("s1", I.make 0.0 1.0); ("s2", I.make 0.0 1.0) ]
-  in
-  (* Workload 3 (pave, biopsy-style parameter fit): admissible (k, a)
-     for the impulse-response model y(t) = a k t e^{-kt} against two
-     data bands (t = 1 and t = 3) — the algebraic form of a calibration
-     paving.  k occurs twice per observation. *)
-  let fit =
-    Expr.Parse.formula
-      "a*k*exp(-k) >= 0.3 and a*k*exp(-k) <= 0.5 and \
-       3*a*k*exp(-3*k) >= 0.1 and 3*a*k*exp(-3*k) <= 0.3"
-  in
-  let fit_box =
-    Box.of_list [ ("k", I.make 0.05 2.5); ("a", I.make 0.2 3.0) ]
-  in
-  let run_decide name formula box config =
-    let run on =
-      Icp.Deriv.set_enabled on;
-      let (r, stats), dt =
-        timed (fun () -> Icp.Solver.decide_with_stats ~config formula box)
-      in
-      (verdict_of r, counts stats, dt)
-    in
-    let v_off, c_off, t_off = run false in
-    let v_on, c_on, t_on = run true in
-    if v_off <> v_on then
-      failwith
-        (Printf.sprintf "N1 %s: verdicts differ (off=%s, on=%s)" name v_off
-           v_on);
-    (name, "decide", v_off, c_off, t_off, c_on, t_on)
-  in
-  let run_pave name formula box config =
-    let run on =
-      Icp.Deriv.set_enabled on;
-      let (p, stats), dt =
-        timed (fun () -> Icp.Solver.pave_with_stats ~config formula box)
-      in
-      (p, counts stats, dt)
-    in
-    let p_off, c_off, t_off = run false in
-    let p_on, c_on, t_on = run true in
-    (* Two pavings of the same box: sat and unsat leaves are proofs, so
-       a positive-volume overlap between one run's sat region and the
-       other's unsat region would be a soundness bug, not noise. *)
-    let contradicts sats unsats =
-      List.exists
-        (fun s ->
-          List.exists
-            (fun u -> Box.volume (Box.inter s u) > 0.0)
-            unsats)
-        sats
-    in
-    if
-      contradicts p_on.Icp.Solver.sat p_off.Icp.Solver.unsat
-      || contradicts p_off.Icp.Solver.sat p_on.Icp.Solver.unsat
-    then failwith (Printf.sprintf "N1 %s: pavings contradict" name);
-    let feasible (p : Icp.Solver.paving) = p.sat <> [] in
-    if feasible p_off <> feasible p_on then
-      failwith (Printf.sprintf "N1 %s: feasibility verdicts differ" name);
-    let v = if feasible p_off then "feasible" else "infeasible" in
-    (name, "pave", v, c_off, t_off, c_on, t_on)
-  in
-  let dcfg =
-    { Icp.Solver.default_config with
-      delta = (if quick then 1e-3 else 1e-4);
-      epsilon = (if quick then 1e-4 else 1e-5) }
-  in
-  let pcfg =
-    { Icp.Solver.default_config with
-      epsilon = (if quick then 0.02 else 0.01) }
-  in
-  let results =
-    [ run_decide "decide-cubic-separation" cubic cubic_box dcfg;
-      run_decide "decide-mm-kinetics" mm mm_box dcfg;
-      run_pave "pave-impulse-fit" fit fit_box pcfg ]
-  in
+  let rounds = if quick then 2 else 3 in
   let rows =
-    List.map
-      (fun (name, kind, v, (b0, _, _), t0, (b1, _, _), t1) ->
-        [ name; kind; v; string_of_int b0; string_of_int b1;
-          Fmt.str "%.2fx" (float_of_int b0 /. float_of_int b1);
-          Fmt.str "%.3fs" t0; Fmt.str "%.3fs" t1 ])
-      results
+    layer_ablation ~section:"N1" ~quick ~rounds ~set:Icp.Deriv.set_enabled
+      [ "decide-cubic-separation"; "decide-mm-kinetics"; "pave-impulse-fit" ]
   in
-  Report.print
-    [ Report.table
-        ~header:
-          [ "workload"; "kind"; "verdict"; "boxes off"; "boxes on";
-            "reduction"; "wall off"; "wall on" ]
-        rows ];
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf
-    (Printf.sprintf "{\n  \"quick\": %b,\n  \"workloads\": [\n" quick);
-  List.iteri
-    (fun i (name, kind, v, (b0, s0, p0), t0, (b1, s1, p1), t1) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"name\": %S, \"kind\": %S, \"verdict\": %S, \"identical\": true,\n\
-           \     \"off\": {\"boxes_processed\": %d, \"splits\": %d, \"prunings\": %d, \"wall_s\": %.6f},\n\
-           \     \"on\":  {\"boxes_processed\": %d, \"splits\": %d, \"prunings\": %d, \"wall_s\": %.6f},\n\
-           \     \"box_reduction\": %.3f}%s\n"
-           name kind v b0 s0 p0 t0 b1 s1 p1 t1
-           (float_of_int b0 /. float_of_int b1)
-           (if i = List.length results - 1 then "" else ",")))
-    results;
-  Buffer.add_string buf "  ]\n}\n";
-  let oc = open_out "BENCH_newton.json" in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Report.print [ Report.text "wrote BENCH_newton.json" ]
+  print_ablation rows;
+  write_json "BENCH_newton.json" ~section:"N1" ~quick ~rounds
+    (ablation_records rows)
 
-(* ------------------------------------------------------------------ *)
-(* AF1: affine arithmetic off vs on                                    *)
-(* ------------------------------------------------------------------ *)
-
-(* The affine-form layer (Interval.Affine: noise-symbol evaluation
+(* AF1: the affine-form layer (Interval.Affine: noise-symbol evaluation
    tightening the HC4 forward pass and the Picard/Taylor remainder
-   boxes) against the plain interval search, on the same
-   dependency-rich workloads as N1 — repeated variable occurrences are
-   exactly where shared noise symbols cancel and the natural extension
-   does not.  Verdict identity is asserted in-process for every decide
-   and pave pair (a sat/unsat leaf overlap between the two pavings
-   would be contradictory proofs); the box-count reduction is therefore
-   bought without changing any answer.  The ODE workload records tube
-   widths, not verdicts: the affine pass may only tighten the
-   enclosure, so final-width ratio >= 1 is the check.  The Taylor-model
-   switch is held off in both arms: it reaches pave, where its
-   certifier and contractor would mask the affine pass (TM1 measures
-   TM on top of this baseline).  Caches are off (each run does its own
-   full search); wall times are per-run minima over a few rounds (noisy
-   container clock, see T1). *)
-
+   boxes) against the plain interval search — repeated variable
+   occurrences are exactly where shared noise symbols cancel.  The ODE
+   workload records tube widths, not verdicts: the affine pass may only
+   tighten the enclosure, so it must not lose completeness.  The
+   Taylor-model switch is held off in both arms: it reaches pave, where
+   its certifier and contractor would mask the affine pass (TM1 measures
+   TM on top of this baseline). *)
 let af1 ?(quick = false) () =
   section
     (if quick then "AF1  Affine arithmetic off vs on (quick)"
@@ -1677,224 +1534,61 @@ let af1 ?(quick = false) () =
       Interval.Affine.clear_enabled_override ())
   @@ fun () ->
   let rounds = if quick then 2 else 3 in
-  let verdict_of = function
-    | Icp.Solver.Delta_sat _ -> "delta-sat"
-    | Icp.Solver.Unsat -> "unsat"
-    | Icp.Solver.Unknown _ -> "unknown"
-  in
-  let counts (s : Icp.Solver.stats) =
-    (s.Icp.Solver.boxes_processed, s.Icp.Solver.splits, s.Icp.Solver.prunings)
-  in
-  (* min-of-rounds wall; counts/verdicts are deterministic per flag. *)
-  let best_of run =
-    let best = ref infinity and result = ref None in
-    for _ = 1 to rounds do
-      let r, dt = timed run in
-      if dt < !best then best := dt;
-      result := Some r
-    done;
-    (Option.get !result, !best)
-  in
-  (* The N1 workloads (see there for why each is dependency-rich), plus
-     a logistic-band paving where every atom mentions its variable
-     twice. *)
-  let cubic =
-    Expr.Parse.formula
-      "x^3 - 2*x^2 + 1.25*x = 0.25 and y^3 - 2*y^2 + 1.25*y = 0.25 and \
-       (x - y)^2 >= 0.3"
-  in
-  let cubic_box =
-    Box.of_list [ ("x", I.make 0.0 2.0); ("y", I.make 0.0 2.0) ]
-  in
-  let mm =
-    Expr.Parse.formula
-      "1.2*s1/(0.4 + s1) + 1.2*s2/(0.4 + s2) = 1.35 and s1 + s2 = 1"
-  in
-  let mm_box =
-    Box.of_list [ ("s1", I.make 0.0 1.0); ("s2", I.make 0.0 1.0) ]
-  in
-  let fit =
-    Expr.Parse.formula
-      "a*k*exp(-k) >= 0.3 and a*k*exp(-k) <= 0.5 and \
-       3*a*k*exp(-3*k) >= 0.1 and 3*a*k*exp(-3*k) <= 0.3"
-  in
-  let fit_box =
-    Box.of_list [ ("k", I.make 0.05 2.5); ("a", I.make 0.2 3.0) ]
-  in
-  let cubic_band =
-    Expr.Parse.formula
-      "x^3 - 2*x^2 + 1.25*x >= 0.2 and x^3 - 2*x^2 + 1.25*x <= 0.3 and \
-       y^3 - 2*y^2 + 1.25*y >= 0.2 and y^3 - 2*y^2 + 1.25*y <= 0.3"
-  in
-  let cubic_band_box =
-    Box.of_list [ ("x", I.make 0.0 2.0); ("y", I.make 0.0 2.0) ]
-  in
-  (* Unsat-carving paving: the MM demand is infeasible over the whole
-     simplex (total rate peaks at 4/3 < 1.35), so the box count is pure
-     refutation work — the paving shape the affine pass accelerates.
-     (Band pavings above are split-to-epsilon along their boundary and
-     sat-certified by interval evaluation, where the affine pass does
-     not participate; their ~1x rows are kept as the honest contrast.) *)
-  let mm_infeasible =
-    Expr.Parse.formula
-      "1.2*s1/(0.4 + s1) + 1.2*s2/(0.4 + s2) >= 1.35 and s1 + s2 <= 1"
-  in
-  let mm_infeasible_box =
-    Box.of_list [ ("s1", I.make 0.0 1.0); ("s2", I.make 0.0 1.0) ]
-  in
-  let run_decide name formula box config =
-    let run on =
-      Interval.Affine.set_enabled on;
-      best_of (fun () -> Icp.Solver.decide_with_stats ~config formula box)
-    in
-    let (r_off, s_off), t_off = run false in
-    let (r_on, s_on), t_on = run true in
-    if verdict_of r_off <> verdict_of r_on then
-      failwith
-        (Printf.sprintf "AF1 %s: verdicts differ (off=%s, on=%s)" name
-           (verdict_of r_off) (verdict_of r_on));
-    (name, "decide", verdict_of r_off, counts s_off, t_off, counts s_on, t_on)
-  in
-  let run_pave name formula box config =
-    let run on =
-      Interval.Affine.set_enabled on;
-      best_of (fun () -> Icp.Solver.pave_with_stats ~config formula box)
-    in
-    let (p_off, s_off), t_off = run false in
-    let (p_on, s_on), t_on = run true in
-    let contradicts sats unsats =
-      List.exists
-        (fun s ->
-          List.exists (fun u -> Box.volume (Box.inter s u) > 0.0) unsats)
-        sats
-    in
-    if
-      contradicts p_on.Icp.Solver.sat p_off.Icp.Solver.unsat
-      || contradicts p_off.Icp.Solver.sat p_on.Icp.Solver.unsat
-    then failwith (Printf.sprintf "AF1 %s: pavings contradict" name);
-    let feasible (p : Icp.Solver.paving) = p.sat <> [] in
-    if feasible p_off <> feasible p_on then
-      failwith (Printf.sprintf "AF1 %s: feasibility verdicts differ" name);
-    let v = if feasible p_off then "feasible" else "infeasible" in
-    (name, "pave", v, counts s_off, t_off, counts s_on, t_on)
-  in
-  let dcfg =
-    { Icp.Solver.default_config with
-      delta = (if quick then 1e-3 else 1e-4);
-      epsilon = (if quick then 1e-4 else 1e-5) }
-  in
-  let pcfg =
-    { Icp.Solver.default_config with
-      epsilon = (if quick then 0.02 else 0.01) }
-  in
-  let results =
-    [ run_decide "decide-cubic-separation" cubic cubic_box dcfg;
-      run_decide "decide-mm-kinetics" mm mm_box dcfg;
-      run_pave "pave-impulse-fit" fit fit_box pcfg;
-      run_pave "pave-cubic-band" cubic_band cubic_band_box pcfg;
-      run_pave "pave-mm-infeasible" mm_infeasible mm_infeasible_box pcfg ]
-  in
-  (* ODE workload: validated flow of the logistic equation from an
-     interval initial set.  x'(t) = x(1-x) mentions x twice, so the
-     interval remainder boxes over-rotate where the affine pass cancels;
-     the tube must only tighten (width ratio >= 1), step for step. *)
-  let ode =
-    let sys =
-      Ode.System.of_strings ~vars:[ "x" ] ~params:[]
-        ~rhs:[ ("x", "x*(1 - x)") ]
-    in
-    let init = Box.of_list [ ("x", I.make 0.2 0.35) ] in
-    let t_end = if quick then 2.0 else 3.0 in
-    let run on =
-      Interval.Affine.set_enabled on;
-      best_of (fun () ->
-          Ode.Enclosure.flow ~params:Box.empty_map ~init ~t_end sys)
-    in
-    let tube_off, t_off = run false in
-    let tube_on, t_on = run true in
-    let w_off = Box.width tube_off.Ode.Enclosure.final
-    and w_on = Box.width tube_on.Ode.Enclosure.final in
-    let hull_off = Box.width (Ode.Enclosure.tube_hull tube_off)
-    and hull_on = Box.width (Ode.Enclosure.tube_hull tube_on) in
-    if tube_off.Ode.Enclosure.complete && not tube_on.Ode.Enclosure.complete
-    then failwith "AF1 ode-logistic-flow: affine run lost completeness";
-    ( "ode-logistic-flow", t_end,
-      List.length tube_off.Ode.Enclosure.steps, w_off, hull_off, t_off,
-      List.length tube_on.Ode.Enclosure.steps, w_on, hull_on, t_on )
-  in
   let rows =
-    List.map
-      (fun (name, kind, v, (b0, _, _), t0, (b1, _, _), t1) ->
-        [ name; kind; v; string_of_int b0; string_of_int b1;
-          Fmt.str "%.2fx" (float_of_int b0 /. float_of_int b1);
-          Fmt.str "%.3fs" t0; Fmt.str "%.3fs" t1 ])
-      results
+    layer_ablation ~section:"AF1" ~quick ~rounds ~set:Interval.Affine.set_enabled
+      [ "decide-cubic-separation"; "decide-mm-kinetics"; "pave-impulse-fit";
+        "pave-cubic-band"; "pave-mm-infeasible" ]
   in
-  let ( ode_name, ode_tend, steps0, w0, h0, ot0, steps1, w1, h1, ot1 ) = ode in
-  Report.print
-    [ Report.table
-        ~header:
-          [ "workload"; "kind"; "verdict"; "boxes off"; "boxes on";
-            "reduction"; "wall off"; "wall on" ]
-        rows;
-      Report.text "%s (t_end = %g): final width %.3g -> %.3g (%s), %d -> %d steps"
-        ode_name ode_tend w0 w1
-        (if Float.is_finite (w0 /. w1) then Fmt.str "%.2fx" (w0 /. w1)
-         else "interval tube diverged, affine bounded")
-        steps0 steps1 ];
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf
-    (Printf.sprintf "{\n  \"quick\": %b,\n  \"workloads\": [\n" quick);
-  List.iter
-    (fun (name, kind, v, (b0, s0, p0), t0, (b1, s1, p1), t1) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"name\": %S, \"kind\": %S, \"verdict\": %S, \"identical\": true,\n\
-           \     \"off\": {\"boxes_processed\": %d, \"splits\": %d, \"prunings\": %d, \"wall_s\": %.6f},\n\
-           \     \"on\":  {\"boxes_processed\": %d, \"splits\": %d, \"prunings\": %d, \"wall_s\": %.6f},\n\
-           \     \"box_reduction\": %.3f},\n"
-           name kind v b0 s0 p0 t0 b1 s1 p1 t1
-           (float_of_int b0 /. float_of_int b1)))
-    results;
-  (* A diverged interval tube has infinite widths — valid result, not
-     valid JSON; null marks it (the ratio is then null too). *)
-  let jf v = if Float.is_finite v then Printf.sprintf "%.6g" v else "null" in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "    {\"name\": %S, \"kind\": \"flow\", \"t_end\": %g,\n\
-       \     \"off\": {\"steps\": %d, \"final_width\": %s, \"hull_width\": %s, \"wall_s\": %.6f},\n\
-       \     \"on\":  {\"steps\": %d, \"final_width\": %s, \"hull_width\": %s, \"wall_s\": %.6f},\n\
-       \     \"final_width_ratio\": %s, \"hull_width_ratio\": %s}\n"
-       ode_name ode_tend steps0 (jf w0) (jf h0) ot0 steps1 (jf w1) (jf h1)
-       ot1
-       (jf (w0 /. w1)) (jf (h0 /. h1)));
-  Buffer.add_string buf "  ]\n}\n";
-  let oc = open_out "BENCH_affine.json" in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Report.print [ Report.text "wrote BENCH_affine.json" ]
+  (* Validated flow of the logistic equation from an interval initial
+     set.  x'(t) = x(1-x) mentions x twice, so the interval remainder
+     boxes over-rotate where the affine pass cancels. *)
+  let sys =
+    Ode.System.of_strings ~vars:[ "x" ] ~params:[] ~rhs:[ ("x", "x*(1 - x)") ]
+  in
+  let init = Box.of_list [ ("x", I.make 0.2 0.35) ] in
+  let t_end = if quick then 2.0 else 3.0 in
+  let widths tube =
+    [ ("final_width", Box.width tube.Ode.Enclosure.final);
+      ("hull_width", Box.width (Ode.Enclosure.tube_hull tube)) ]
+  in
+  let ode =
+    List.map snd
+      (measure ~section:"AF1" ~workload:"ode-logistic-flow" ~rounds
+         ~answer:(fun tube ->
+           if tube.Ode.Enclosure.complete then "complete" else "incomplete")
+         ~counts:(fun tube -> [ ("steps", List.length tube.Ode.Enclosure.steps) ])
+         ~values:(fun tube -> ("t_end", t_end) :: widths tube)
+         ~agree:(fun off on ->
+           on.Ode.Enclosure.complete || not off.Ode.Enclosure.complete)
+         [ config "off" false; config "on" true ]
+         (fun on ->
+           Interval.Affine.set_enabled on;
+           Ode.Enclosure.flow ~params:Box.empty_map ~init ~t_end sys))
+  in
+  print_ablation rows;
+  (match ode with
+  | [ off; on ] ->
+      let w r = List.assoc "final_width" r.values in
+      let w0 = w off and w1 = w on in
+      Report.print
+        [ Report.text "%s (t_end = %g): final width %.3g -> %.3g (%s), %d -> %d steps"
+            off.workload t_end w0 w1
+            (if Float.is_finite (w0 /. w1) then Fmt.str "%.2fx" (w0 /. w1)
+             else "interval tube diverged, affine bounded")
+            (count off "steps") (count on "steps") ]
+  | _ -> assert false);
+  write_json "BENCH_affine.json" ~section:"AF1" ~quick ~rounds
+    ~meta:[ ("tm", Json.Bool false) ]
+    (ablation_records rows @ ode)
 
-(* ------------------------------------------------------------------ *)
-(* TM1: Taylor models off vs on (over the affine baseline)             *)
-(* ------------------------------------------------------------------ *)
-
-(* The degree-2 Taylor-model layer (Interval.Tm: quadratic monomials
-   kept exactly, Bernstein range bound, enclosure-assisted
+(* TM1: the degree-2 Taylor-model layer (Interval.Tm: quadratic
+   monomials kept exactly, Bernstein range bound, enclosure-assisted
    sat-certification in pave) against the affine-era search: both arms
    run with the affine layer at its default (on), so the ratios isolate
-   what the second-order terms buy on top of AF1.  The global switch
-   reaches only pave (its infeasibility contractor and sat-certifier):
-   decide and ODE flows never evaluate Taylor models, so the rows are
-   pavings.  The target is precisely AF1's honest ~1.00x rows: band
-   pavings are split-to-ε along their boundary and sat-certified by
-   interval evaluation, a path the affine pass never touched — the TM
-   certifier proves those band leaves sat whole boxes earlier.
-   Pavings are checked for sat/unsat leaf contradictions and
-   TM-certified leaves for center feasibility (sat sets may
-   legitimately grow: certifying earlier is the point).  Box reductions
-   are recorded honestly, regressions included.  Caches off; wall
-   times are per-run minima over a few rounds (see T1). *)
-
+   what the second-order terms buy on top of AF1.  The switch reaches
+   only pave (decide and ODE flows never evaluate Taylor models), so the
+   rows are AF1's pavings; its ~1.00x band row is the target.  Box
+   reductions are recorded honestly, regressions included. *)
 let tm1 ?(quick = false) () =
   section
     (if quick then "TM1  Taylor models off vs on (quick)"
@@ -1905,116 +1599,14 @@ let tm1 ?(quick = false) () =
       Interval.Tm.clear_enabled_override ())
   @@ fun () ->
   let rounds = if quick then 2 else 3 in
-  let counts (s : Icp.Solver.stats) =
-    (s.Icp.Solver.boxes_processed, s.Icp.Solver.splits, s.Icp.Solver.prunings)
-  in
-  let best_of run =
-    let best = ref infinity and result = ref None in
-    for _ = 1 to rounds do
-      let r, dt = timed run in
-      if dt < !best then best := dt;
-      result := Some r
-    done;
-    (Option.get !result, !best)
-  in
-  (* The AF1 pave workloads, so the two JSON dumps line up row for row. *)
-  let fit =
-    Expr.Parse.formula
-      "a*k*exp(-k) >= 0.3 and a*k*exp(-k) <= 0.5 and \
-       3*a*k*exp(-3*k) >= 0.1 and 3*a*k*exp(-3*k) <= 0.3"
-  in
-  let fit_box =
-    Box.of_list [ ("k", I.make 0.05 2.5); ("a", I.make 0.2 3.0) ]
-  in
-  let cubic_band =
-    Expr.Parse.formula
-      "x^3 - 2*x^2 + 1.25*x >= 0.2 and x^3 - 2*x^2 + 1.25*x <= 0.3 and \
-       y^3 - 2*y^2 + 1.25*y >= 0.2 and y^3 - 2*y^2 + 1.25*y <= 0.3"
-  in
-  let cubic_band_box =
-    Box.of_list [ ("x", I.make 0.0 2.0); ("y", I.make 0.0 2.0) ]
-  in
-  let mm_infeasible =
-    Expr.Parse.formula
-      "1.2*s1/(0.4 + s1) + 1.2*s2/(0.4 + s2) >= 1.35 and s1 + s2 <= 1"
-  in
-  let mm_infeasible_box =
-    Box.of_list [ ("s1", I.make 0.0 1.0); ("s2", I.make 0.0 1.0) ]
-  in
-  let run_pave name formula box config =
-    let run on =
-      Interval.Tm.set_enabled on;
-      best_of (fun () -> Icp.Solver.pave_with_stats ~config formula box)
-    in
-    let (p_off, s_off), t_off = run false in
-    let (p_on, s_on), t_on = run true in
-    let contradicts sats unsats =
-      List.exists
-        (fun s ->
-          List.exists (fun u -> Box.volume (Box.inter s u) > 0.0) unsats)
-        sats
-    in
-    if
-      contradicts p_on.Icp.Solver.sat p_off.Icp.Solver.unsat
-      || contradicts p_off.Icp.Solver.sat p_on.Icp.Solver.unsat
-    then failwith (Printf.sprintf "TM1 %s: pavings contradict" name);
-    (* TM-certified sat leaves are new proofs, not reclassifications:
-       each must hold at its center point. *)
-    List.iter
-      (fun leaf ->
-        match Expr.Formula.eval_cert (Box.midpoint leaf) formula with
-        | Expr.Formula.Impossible ->
-            failwith
-              (Printf.sprintf "TM1 %s: certified leaf with infeasible center"
-                 name)
-        | _ -> ())
-      p_on.Icp.Solver.sat;
-    let v = if p_on.Icp.Solver.sat <> [] then "feasible" else "infeasible" in
-    (name, v, counts s_off, t_off, counts s_on, t_on)
-  in
-  let pcfg =
-    { Icp.Solver.default_config with
-      epsilon = (if quick then 0.02 else 0.01) }
-  in
-  let results =
-    [ run_pave "pave-impulse-fit" fit fit_box pcfg;
-      run_pave "pave-cubic-band" cubic_band cubic_band_box pcfg;
-      run_pave "pave-mm-infeasible" mm_infeasible mm_infeasible_box pcfg ]
-  in
   let rows =
-    List.map
-      (fun (name, v, (b0, _, _), t0, (b1, _, _), t1) ->
-        [ name; v; string_of_int b0; string_of_int b1;
-          Fmt.str "%.2fx" (float_of_int b0 /. float_of_int b1);
-          Fmt.str "%.3fs" t0; Fmt.str "%.3fs" t1 ])
-      results
+    layer_ablation ~section:"TM1" ~quick ~rounds ~set:Interval.Tm.set_enabled
+      [ "pave-impulse-fit"; "pave-cubic-band"; "pave-mm-infeasible" ]
   in
-  Report.print
-    [ Report.table
-        ~header:
-          [ "workload"; "verdict"; "boxes off"; "boxes on"; "reduction";
-            "wall off"; "wall on" ]
-        rows ];
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf
-    (Printf.sprintf "{\n  \"quick\": %b,\n  \"workloads\": [\n" quick);
-  Buffer.add_string buf
-    (String.concat ",\n"
-       (List.map
-          (fun (name, v, (b0, s0, p0), t0, (b1, s1, p1), t1) ->
-            Printf.sprintf
-              "    {\"name\": %S, \"kind\": \"pave\", \"verdict\": %S,\n\
-              \     \"off\": {\"boxes_processed\": %d, \"splits\": %d, \"prunings\": %d, \"wall_s\": %.6f},\n\
-              \     \"on\":  {\"boxes_processed\": %d, \"splits\": %d, \"prunings\": %d, \"wall_s\": %.6f},\n\
-              \     \"box_reduction\": %.3f}"
-              name v b0 s0 p0 t0 b1 s1 p1 t1
-              (float_of_int b0 /. float_of_int b1))
-          results));
-  Buffer.add_string buf "\n  ]\n}\n";
-  let oc = open_out "BENCH_tm.json" in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Report.print [ Report.text "wrote BENCH_tm.json" ]
+  print_ablation rows;
+  write_json "BENCH_tm.json" ~section:"TM1" ~quick ~rounds
+    ~meta:[ ("affine", Json.Bool true) ]
+    (ablation_records rows)
 
 (* ------------------------------------------------------------------ *)
 (* Part 2: Bechamel kernel timing                                      *)
@@ -2193,7 +1785,7 @@ let () =
   let sections =
     [ ("e1", e1); ("e2", e2); ("e3", e3); ("e4", e4); ("e5", e5); ("e6", e6);
       ("e7", e7); ("e8", e8); ("e9", e9); ("s1", s1); ("a1", a1); ("a2", a2);
-      ("a3", a3); ("a4", a4); ("p1", fun () -> p1 ~quick ()); ("t1", t1);
+      ("a3", a3); ("a4", a4); ("p1", fun () -> p1 ~quick ());
       ("c1", fun () -> c1 ~quick ());
       ("o1", fun () -> o1 ~quick ());
       ("j1", fun () -> j1 ~quick ());

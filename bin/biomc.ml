@@ -905,6 +905,12 @@ let check_one_artifact file =
                      (List.map string_of_int c.Telemetry.Trace.tids));
                   ("max span depth",
                    string_of_int c.Telemetry.Trace.max_depth) ];
+              (* A truncated trace is still well-formed (the export
+                 repairs begin/end balance), so it passes; the count
+                 says what is missing. *)
+              Report.text "dropped events: %d%s" c.Telemetry.Trace.dropped
+                (if c.Telemetry.Trace.dropped > 0 then " (trace truncated)"
+                 else "");
               Report.text
                 "trace is well-formed (begin/end balanced per domain)" ])
   | `Journal -> (

@@ -17,14 +17,19 @@ type plan = {
   thresholds : (string * float) list;  (** synthesized jump parameters *)
   jumps : int;  (** number of drug decisions = path length - 1 *)
   reach_time : float;
-  safety_checked : bool;  (** harm goal proved unreachable at these thresholds *)
+  safety_checked : bool;
+      (** harm check returned unsat at these thresholds *)
+  safety_rigorous : bool;
+      (** that unsat rests on validated tubes only (no sampled bracket) *)
 }
 
 let pp_plan ppf p =
   Fmt.pf ppf "@[<v>scheme: %a (%d jumps%s)@ thresholds: %a@ recovery at t=%.3g@]"
     Fmt.(list ~sep:(any " -> ") string)
     p.path p.jumps
-    (if p.safety_checked then ", safety verified" else "")
+    (if not p.safety_checked then ""
+     else if p.safety_rigorous then ", safety verified"
+     else ", safety bracketed")
     Fmt.(list ~sep:(any ", ") (pair ~sep:(any "=") string float))
     p.thresholds p.reach_time
 
@@ -36,13 +41,16 @@ let pp_outcome ppf = function
   | Plan p -> pp_plan ppf p
   | No_plan why -> Fmt.pf ppf "no treatment scheme found (%s)" why
 
-(* Verify that at fixed thresholds the harm goal cannot be reached within
+(* Check whether at fixed thresholds the harm goal can be reached within
    [k_harm] jumps.  The thresholds are bound into the automaton, so the
    check is parameter-free. *)
-let safe_at ?config automaton ~harm ~k_harm ~time_bound thresholds =
+let harm_check ?config automaton ~harm ~k_harm ~time_bound thresholds =
   let bound = Hybrid.Automaton.bind_params thresholds automaton in
-  let pb = Reach.Encoding.create ~goal:harm ~k:k_harm ~time_bound bound in
-  match Reach.Checker.check ?config pb with
+  Reach.Checker.check ?config
+    (Reach.Encoding.create ~goal:harm ~k:k_harm ~time_bound bound)
+
+let safe_at ?config automaton ~harm ~k_harm ~time_bound thresholds =
+  match harm_check ?config automaton ~harm ~k_harm ~time_bound thresholds with
   | Reach.Checker.Unsat _ -> Some true
   | Reach.Checker.Delta_sat _ -> Some false
   | Reach.Checker.Unknown _ -> None
@@ -71,10 +79,10 @@ let optimize ?config ?(k_harm = 6) ~param_box ~recovery ~harm ~max_jumps ~time_b
       | Reach.Checker.Unknown why -> try_k (k + 1) (Some ("solver: " ^ why))
       | Reach.Checker.Delta_sat w -> (
           match
-            safe_at ?config automaton ~harm ~k_harm ~time_bound
+            harm_check ?config automaton ~harm ~k_harm ~time_bound
               w.Reach.Checker.params
           with
-          | Some true ->
+          | Reach.Checker.Unsat { rigorous } ->
               Plan
                 {
                   path = w.Reach.Checker.path;
@@ -82,9 +90,12 @@ let optimize ?config ?(k_harm = 6) ~param_box ~recovery ~harm ~max_jumps ~time_b
                   jumps = List.length w.Reach.Checker.path - 1;
                   reach_time = w.Reach.Checker.reach_time;
                   safety_checked = true;
+                  safety_rigorous = rigorous;
                 }
-          | Some false -> try_k (k + 1) (Some "witness reached the harm state")
-          | None -> try_k (k + 1) (Some "safety check inconclusive"))
+          | Reach.Checker.Delta_sat _ ->
+              try_k (k + 1) (Some "witness reached the harm state")
+          | Reach.Checker.Unknown _ ->
+              try_k (k + 1) (Some "safety check inconclusive"))
     end
   in
   try_k 1 None

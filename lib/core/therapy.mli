@@ -7,7 +7,13 @@ type plan = {
   thresholds : (string * float) list;
   jumps : int;
   reach_time : float;
-  safety_checked : bool;  (** harm proved unreachable at these thresholds *)
+  safety_checked : bool;
+      (** the harm check returned unsat at these thresholds *)
+  safety_rigorous : bool;
+      (** that unsat is a proof: every flow segment behind it was a
+          validated tube.  [false] means some segment fell back to a
+          sampled ensemble bracket ({!Reach.Checker.result}); {!pp_plan}
+          then prints "safety bracketed" instead of "safety verified". *)
 }
 
 type outcome =

@@ -45,10 +45,12 @@ let check ?config ?(param_box = Interval.Box.empty_map) ~goal ~k ~time_bound aut
   Reach.Checker.check ?config pb
 
 (* A behaviour is refuted (model falsification against a *qualitative*
-   property) when its reachability is unsat for every parameter value. *)
+   property) when its reachability is unsat for every parameter value,
+   by a proof: an unsat resting on a sampled ensemble bracket refutes
+   nothing. *)
 let refutes ?config ?param_box ~goal ~k ~time_bound automaton =
   match check ?config ?param_box ~goal ~k ~time_bound automaton with
-  | Reach.Checker.Unsat _ -> true
+  | Reach.Checker.Unsat { rigorous } -> rigorous
   | Reach.Checker.Delta_sat _ | Reach.Checker.Unknown _ -> false
 
 (* SMC screening of a behaviour under distributional uncertainty: the

@@ -33,8 +33,9 @@ val refutes :
   time_bound:float ->
   Hybrid.Automaton.t ->
   bool
-(** [true] iff the behaviour is unsat for every parameter value — model
-    falsification against a qualitative property. *)
+(** [true] iff the behaviour is rigorously unsat for every parameter
+    value — model falsification against a qualitative property.  A
+    bracketed [Unsat {rigorous = false}] gives [false]. *)
 
 val smc_screen :
   ?seed:int -> ?eps:float -> ?alpha:float -> Smc.Runner.problem -> Smc.Estimate.estimate

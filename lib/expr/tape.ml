@@ -63,21 +63,6 @@ and scratch = {
 
 and reqcell = { mutable rlo : float; mutable rhi : float }
 
-(* ---- Enable/disable switch ---- *)
-
-let override : bool option Atomic.t = Atomic.make None
-
-let enabled () =
-  match Atomic.get override with
-  | Some b -> b
-  | None -> (
-      match Sys.getenv_opt "BIOMC_NO_TAPE" with
-      | Some ("1" | "true" | "yes") -> false
-      | _ -> true)
-
-let set_enabled b = Atomic.set override (Some b)
-let clear_enabled_override () = Atomic.set override None
-
 (* ---- Compilation ---- *)
 
 let compile ~vars terms =

@@ -19,19 +19,6 @@ module I = Interval.Ia
 type t
 (** A compiled tape (possibly multi-root: one root per compiled term). *)
 
-val enabled : unit -> bool
-(** Whether tape-backed kernels should be used.  True by default; the
-    environment variable [BIOMC_NO_TAPE=1] (or [true]/[yes]) switches the
-    hot paths back to the tree-walking implementations.  {!set_enabled}
-    overrides the environment. *)
-
-val set_enabled : bool -> unit
-(** Override {!enabled} (used by benchmarks and differential tests to pin
-    one implementation). *)
-
-val clear_enabled_override : unit -> unit
-(** Return {!enabled} to the environment-variable default. *)
-
 (** {1 Compilation} *)
 
 val compile : vars:string list -> Term.t list -> t

@@ -270,7 +270,7 @@ let fixpoint ?(tol = default_tol) ?(max_rounds = default_max_rounds) constraints
    a single interval array: the box is converted once per query, the
    revise rounds mutate the array in place, and the contracted box is
    rebuilt only on success.  The tree-walking [fixpoint] above is kept as
-   the differential-testing oracle (and the BIOMC_NO_TAPE escape hatch). *)
+   the differential-testing oracle. *)
 
 (* Per-domain reusable fixpoint workspace: allocated once per (compiled
    system, domain) pair instead of on every query box. *)
@@ -394,7 +394,7 @@ let fingerprint constraints =
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
 (* HC4 fixpoint cache: group = (constraint fingerprint, tol, max_rounds,
-   evaluation path); value = the contraction result (None = refuted).
+   layer flags); value = the contraction result (None = refuted).
    Exact hits replay the deterministic fixpoint bit-for-bit.  Under the
    Warm policy a contained query may reuse a cached refutation (a box
    with no solution has no solution in any sub-box) or seed the fixpoint
@@ -402,30 +402,22 @@ let fingerprint constraints =
    both). *)
 let hc4_cache : Box.t option Cache.t = Cache.create ~group_capacity:1024 "hc4"
 
-(* Compile-once fixpoint closure: tape-backed when tapes are enabled,
-   tree-walking otherwise.  The closure is safe to share across worker
-   domains (tapes are immutable; scratch is per-domain via Domain.DLS;
-   the cache shards are mutex-guarded). *)
+(* Compile-once tape-backed fixpoint closure.  The closure is safe to
+   share across worker domains (tapes are immutable; scratch is
+   per-domain via Domain.DLS; the cache shards are mutex-guarded). *)
 let contractor ?tol ?max_rounds ?(tm = false) constraints =
-  let tape = Expr.Tape.enabled () in
-  (* Affine- and TM-tightened forward passes only exist on the tape
-     path (the tree walker has no slot arrays to intersect into);
-     sampled at build time like [tape] so the closure and its cache
-     group stay consistent.  The Taylor-model pass is opt-in per call
-     site ([?tm], default off): only pave asks for it. *)
-  let affine = tape && Interval.Affine.enabled () in
-  let tm = tape && tm in
+  (* The affine flag is sampled at build time so the closure and its
+     cache group stay consistent.  The Taylor-model pass is opt-in per
+     call site ([?tm], default off): only pave asks for it. *)
+  let affine = Interval.Affine.enabled () in
   let base =
-    if tape then begin
-      let cs = compile constraints in
-      fun box -> fixpoint_compiled ?tol ?max_rounds ~affine ~tm cs box
-    end
-    else fun box -> fixpoint ?tol ?max_rounds constraints box
+    let cs = compile constraints in
+    fun box -> fixpoint_compiled ?tol ?max_rounds ~affine ~tm cs box
   in
   (* Derivative layer (mean-value refutation + interval Newton), run
      after the HC4 fixpoint; when Newton contracts the box, one more
      fixpoint round lets HC4 exploit the tightened components.  The
-     flag is sampled at build time — like [tape] — so the closure and
+     flag is sampled at build time — like [affine] — so the closure and
      its cache group stay consistent for their whole lifetime. *)
   let newton =
     if Deriv.enabled () then
@@ -456,10 +448,9 @@ let contractor ?tol ?max_rounds ?(tm = false) constraints =
     (* The newton flag keys the group too: Newton-contracted results
        must never replay into a Newton-off run (and vice versa), or the
        kill-switch would no longer reproduce the HC4-only search. *)
-    Printf.sprintf "hc4|%s|%h|%d|%b|%b|%b|%b" (fingerprint constraints)
+    Printf.sprintf "hc4|%s|%h|%d|%b|%b|%b" (fingerprint constraints)
       (Option.value tol ~default:default_tol)
       (Option.value max_rounds ~default:default_max_rounds)
-      tape
       (Option.is_some newton)
       affine tm
   in

@@ -71,13 +71,13 @@ val contractor :
   constr list ->
   Interval.Box.t ->
   Interval.Box.t option
-(** [contractor constraints] compiles once and returns the fixpoint as a
-    closure — tape-backed unless tapes are disabled ([BIOMC_NO_TAPE=1]).
-    Unless the derivative layer is disabled ([BIOMC_NO_NEWTON=1], see
-    {!Deriv}), the HC4 fixpoint is followed by a mean-value-form
-    refutation test and an interval Newton (Gauss–Seidel) contraction
-    sweep over the differentiable constraints, with one extra fixpoint
-    round when Newton tightened the box.  Both layers only remove
+(** [contractor constraints] compiles the constraints to tapes once and
+    returns the fixpoint as a closure.  Unless the derivative layer is
+    disabled ([BIOMC_NO_NEWTON=1], see {!Deriv}), the HC4 fixpoint is
+    followed by a mean-value-form refutation test and an interval
+    Newton (Gauss–Seidel) contraction sweep over the differentiable
+    constraints, with one extra fixpoint round when Newton tightened
+    the box.  Both layers only remove
     points violating a constraint, so the contraction contract is
     unchanged; with Newton disabled the closure reproduces the HC4-only
     result bit for bit (cache groups are keyed on the flag).  The
@@ -85,7 +85,5 @@ val contractor :
     and scratch buffers are per-domain.
 
     [?tm] (default [false], whatever the global switch says) adds the
-    Taylor-model pass; only pave asks for it.  The affine and
-    Taylor-model passes require the tape path: both are off under
-    [BIOMC_NO_TAPE=1].  The HC4 cache group keys on the effective
-    flags. *)
+    Taylor-model pass; only pave asks for it.  The HC4 cache group keys
+    on the effective flags. *)

@@ -20,11 +20,10 @@ type t
 
 (** {1 Enable switch}
 
-    Same pattern as {!Expr.Tape.enabled}: the environment variable
-    [BIOMC_NO_NEWTON=1] (or [true]/[yes]) disables the derivative
-    layer, restoring the HC4-only search bit for bit; {!set_enabled}
-    overrides the environment (used by the [--no-newton] CLI flag,
-    benchmarks, and differential tests). *)
+    The environment variable [BIOMC_NO_NEWTON=1] (or [true]/[yes])
+    disables the derivative layer, restoring the HC4-only search bit
+    for bit; {!set_enabled} overrides the environment (used by the
+    [--no-newton] CLI flag, benchmarks, and differential tests). *)
 
 val enabled : unit -> bool
 val set_enabled : bool -> unit

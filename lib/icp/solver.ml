@@ -64,9 +64,8 @@ let journal_flags ~tm jobs =
   [ ("newton", string_of_bool (Deriv.enabled ()));
     ("affine", string_of_bool (Interval.Affine.enabled ()));
     ("affine_budget", string_of_int (Interval.Affine.budget ()));
-    ("tm", string_of_bool (Expr.Tape.enabled () && tm));
+    ("tm", string_of_bool tm);
     ("cache", string_of_bool (Cache.enabled ()));
-    ("tape", string_of_bool (Expr.Tape.enabled ()));
     ("jobs", string_of_int jobs) ]
 
 type config = {
@@ -213,10 +212,9 @@ let refuted_group cfg atoms =
     let constraints = List.map (Contractor.of_atom ~delta:cfg.delta) atoms in
     let rels = rels_key atoms in
     Some
-      (Printf.sprintf "prune|%s|%s|%h|%d|%b|%b|%b|%b"
+      (Printf.sprintf "prune|%s|%s|%h|%d|%b|%b|%b"
          (Contractor.fingerprint constraints) rels
          cfg.delta cfg.contractor_rounds cfg.use_contraction
-         (Expr.Tape.enabled ())
          (* Newton-era refutations are still proofs, but replaying them
             into a BIOMC_NO_NEWTON=1 run would change that run's search
             trajectory — the kill-switch must reproduce the HC4-only
@@ -325,8 +323,8 @@ let process_box cfg stats ?refuted ?dsys contract formula b =
 let conjunction_contractor cfg atoms =
   if not cfg.use_contraction then fun b -> Some b
   else
-    (* Compile once per query (tape-backed unless BIOMC_NO_TAPE=1); the
-       closure is shared by all boxes of the search, across domains. *)
+    (* Compile once per query; the closure is shared by all boxes of the
+       search, across domains. *)
     let constraints = List.map (Contractor.of_atom ~delta:cfg.delta) atoms in
     Contractor.contractor ~max_rounds:cfg.contractor_rounds constraints
 
@@ -625,10 +623,9 @@ let pave_group cfg formula =
   if not (Cache.enabled ()) then None
   else
     Some
-      (Printf.sprintf "pave|%s|%b|%b|%b|%b|%b"
+      (Printf.sprintf "pave|%s|%b|%b|%b|%b"
          (Digest.to_hex (Digest.string (Expr.Formula.fingerprint formula)))
          cfg.use_contraction
-         (Expr.Tape.enabled ())
          (Deriv.enabled ())
          (Interval.Affine.enabled ())
          (Interval.Tm.enabled ()))
@@ -649,13 +646,13 @@ let pave_group cfg formula =
    plain {!Expr.Formula.eval_cert} classifier — and with it the
    pre-Taylor-model pave — bit for bit), and the affine pass inside it
    rides along only when the affine layer is also on.  Returns [None]
-   when disabled (kill-switches or [BIOMC_NO_TAPE]).
+   when disabled.
 
    One single-root tape per distinct atom term, shared by fingerprint;
    scratch is per-domain (Domain.DLS), so the returned certifier may be
    called from parallel worker domains. *)
 let enclosure_atom_cert ~tm formula =
-  let use_tm = tm && Expr.Tape.enabled () && Interval.Tm.enabled () in
+  let use_tm = tm && Interval.Tm.enabled () in
   let use_aff = use_tm && Interval.Affine.enabled () in
   if not use_tm then None
   else begin

@@ -79,80 +79,15 @@ let second_derivative sys =
       (v, Expr.Term.add along time_part))
     field
 
-(* Evaluate the field over [state ∪ params ∪ t]. *)
-let eval_field terms params time state =
-  let box =
-    Box.set System.time_var time
-      (List.fold_left (fun b (k, i) -> Box.set k i b) params (Box.to_list state))
-  in
-  List.map (fun (v, t) -> (v, Expr.Term.eval_interval box t)) terms
-
-let box_add_scaled state scale deriv =
-  List.fold_left
-    (fun b (v, d) -> Box.update v (fun x -> I.add x (I.mul scale d)) b)
-    state deriv
-
-(* One validated step; [None] when no a-priori enclosure was found.
-   [iters] accumulates Picard iterations (for cache warm-start
-   accounting). *)
-let flow_step cfg sys second params t0 h x0 iters =
-  let time_whole = I.make t0 (t0 +. h) in
-  let h_itv = I.make 0.0 h in
-  let field = System.rhs sys in
-  (* Picard iteration for the a-priori enclosure. *)
-  let rec picard b k =
-    if k > cfg.max_picard then None
-    else
-      let () = incr iters in
-      let f_b = eval_field field params time_whole b in
-      let next = box_add_scaled x0 h_itv f_b in
-      if Box.subset next b then Some b
-      else
-        let widened =
-          Box.map
-            (fun i -> I.inflate (cfg.inflation *. (I.width i +. 1e-12)) i)
-            (Box.hull b next)
-        in
-        picard widened (k + 1)
-  in
-  let seed =
-    let f0 = eval_field field params time_whole x0 in
-    Box.map (fun i -> I.inflate (cfg.inflation *. (I.width i +. 1e-9)) i)
-      (box_add_scaled x0 h_itv f0)
-    |> Box.hull x0
-  in
-  match picard seed 0 with
-  | None -> None
-  | Some b ->
-      let at_end =
-        match cfg.order with
-        | Euler_1 ->
-            let f_b = eval_field field params time_whole b in
-            box_add_scaled x0 (I.of_float h) f_b
-        | Taylor_2 ->
-            let f_x0 = eval_field field params (I.of_float t0) x0 in
-            let d2_b = eval_field second params time_whole b in
-            let first = box_add_scaled x0 (I.of_float h) f_x0 in
-            box_add_scaled first (I.make 0.0 (0.5 *. h *. h)) d2_b
-            |> fun taylor ->
-            (* The endpoint also lies in the a-priori enclosure: intersect
-               for a tighter-than-either result. *)
-            Box.inter taylor b
-      in
-      if Box.is_empty at_end then None
-      else Some ({ t_lo = t0; t_hi = t0 +. h; enclosure = b; at_end }, at_end)
-
 (* ---- Tape-compiled flow path ----
 
-   The Picard iteration dominates the cost of [flow]: per iteration, per
-   step, the tree path rebuilds a Box (state ∪ params ∪ t) and tree-walks
-   every right-hand side with string-keyed lookups.  The compiled path
-   flattens both the field and the Taylor-2 remainder terms into tapes
-   over [vars @ params @ [t]] once, and runs every evaluation as a loop
-   over interval arrays.  The arithmetic per component is identical
-   operation for operation, so the resulting tube is exactly the tree
-   path's tube (interval operations are deterministic); the tree path
-   remains as the differential-testing oracle and BIOMC_NO_TAPE path. *)
+   The Picard iteration dominates the cost of [flow].  The field and the
+   Taylor-2 remainder terms are flattened into tapes over
+   [vars @ params @ [t]] once, and every evaluation runs as a loop over
+   interval arrays: no Box rebuilding and no string-keyed lookups per
+   iteration.  The test suite keeps the original tree-walking integrator
+   as an oracle: with the affine pass off it produces the same tube bit
+   for bit. *)
 
 type prepared = {
   p_sys : System.t;
@@ -215,7 +150,7 @@ let flow_tape ?(warm = []) cfg prep ~params ~init ~t_end ~iters t0 =
   let width_of (x : I.t array) =
     Array.fold_left (fun acc i -> Float.max acc (I.width i)) 0.0 x
   in
-  (* One validated step on interval arrays; mirrors [flow_step].  [seed]
+  (* One validated step on interval arrays.  [seed]
      overrides the Euler-based a-priori candidate — used to warm-start
      Picard from a cached parent enclosure.  Rigor is untouched: whatever
      the candidate, the step succeeds only once the Picard containment
@@ -329,36 +264,9 @@ let flow_tape ?(warm = []) cfg prep ~params ~init ~t_end ~iters t0 =
   in
   go t0 (arr_of init) cfg.h [] warm
 
-let flow_tree config sys ~params ~init ~t_end ~iters t0 =
-  let second = if config.order = Taylor_2 then second_derivative sys else [] in
-  let rec go t x h steps =
-    if t >= t_end -. 1e-12 then
-      { vars = System.vars sys; steps = List.rev steps; final = x; t_end = t; complete = true }
-    else if Box.width x > config.max_width then begin
-      Log.debug (fun m -> m "enclosure blow-up at t=%g (width %g)" t (Box.width x));
-      { vars = System.vars sys; steps = List.rev steps; final = x; t_end = t; complete = false }
-    end
-    else
-      let h = Float.min h (t_end -. t) in
-      match flow_step config sys second params t h x iters with
-      | Some (step, x') -> go step.t_hi x' config.h (step :: steps)
-      | None ->
-          if h <= config.h_min then
-            { vars = System.vars sys; steps = List.rev steps; final = x; t_end = t;
-              complete = false }
-          else begin
-            Telemetry.Counter.incr m_step_rejections;
-            go t x (h /. 2.0) steps
-          end
-  in
-  go t0 init config.h []
-
 (* Flowpipe cache.  Group key = (system digest, config fingerprint,
-   evaluation path, t0, t_end); entry key = params ⊎ init as one box;
-   value = (tube, Picard iterations spent).  The tape and tree paths
-   produce bit-identical tubes, but they stay in separate groups so the
-   tree path remains a genuinely independent oracle for differential
-   tests even with caching on. *)
+   affine flag, t0, t_end); entry key = params ⊎ init as one box;
+   value = (tube, Picard iterations spent). *)
 let tube_cache : (tube * int) Cache.t =
   Cache.create ~group_capacity:4096 "flow"
 
@@ -377,19 +285,15 @@ let flow ?(config = default_config) ?prepared ?(t0 = 0.0) ~params ~init ~t_end
   Telemetry.Span.with_ tm_flow @@ fun () ->
   let run ?warm () =
     let iters = ref 0 in
-    let tube =
-      if Expr.Tape.enabled () then
-        let prep =
-          match prepared with
-          | Some p -> p
-          | None ->
-              (* One-time symbolic + tape compilation: negligible against
-                 the thousands of Picard evaluations of a typical flow. *)
-              prepare sys
-        in
-        flow_tape ?warm config prep ~params ~init ~t_end ~iters t0
-      else flow_tree config sys ~params ~init ~t_end ~iters t0
+    let prep =
+      match prepared with
+      | Some p -> p
+      | None ->
+          (* One-time symbolic + tape compilation: negligible against
+             the thousands of Picard evaluations of a typical flow. *)
+          prepare sys
     in
+    let tube = flow_tape ?warm config prep ~params ~init ~t_end ~iters t0 in
     Telemetry.Counter.incr m_flows;
     Telemetry.Counter.add m_picard_iters !iters;
     Telemetry.Counter.add m_steps (List.length tube.steps);
@@ -410,9 +314,8 @@ let flow ?(config = default_config) ?prepared ?(t0 = 0.0) ~params ~init ~t_end
   if not (Cache.enabled ()) then jemit ~cached:false (fst (run ()))
   else begin
     let group =
-      Printf.sprintf "flow|%s|%s|%b|%b|%h|%h" (System.digest sys)
+      Printf.sprintf "flow|%s|%s|%b|%h|%h" (System.digest sys)
         (config_fingerprint config)
-        (Expr.Tape.enabled ())
         (* Affine-tightened tubes must not replay into a
            BIOMC_NO_AFFINE=1 run (or vice versa). *)
         (Interval.Affine.enabled ())
@@ -421,8 +324,7 @@ let flow ?(config = default_config) ?prepared ?(t0 = 0.0) ~params ~init ~t_end
     let key = Box.join params init in
     match Cache.find tube_cache ~group key with
     | Cache.Hit (tube, _) -> jemit ~cached:true tube
-    | Cache.Subsumed (_, (ctube, citers))
-      when Expr.Tape.enabled () && ctube.complete ->
+    | Cache.Subsumed (_, (ctube, citers)) when ctube.complete ->
         let tube, iters = run ~warm:ctube.steps () in
         Cache.note_warm_start tube_cache ~saved_iterations:(citers - iters);
         Cache.add tube_cache ~group key (tube, iters);

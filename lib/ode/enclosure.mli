@@ -63,10 +63,9 @@ val flow :
   System.t ->
   tube
 (** Guaranteed enclosure of every trajectory starting in [init] under any
-    parameter value in [params].  Runs on flat interval tapes by default
-    (bit-identical tube to the tree-walking path, which [BIOMC_NO_TAPE=1]
-    restores); [?prepared] (from {!prepare} on the same system) skips the
-    per-call compilation. *)
+    parameter value in [params], computed on flat interval tapes;
+    [?prepared] (from {!prepare} on the same system) skips the per-call
+    compilation. *)
 
 val tube_hull : tube -> Interval.Box.t
 val state_at : tube -> float -> Interval.Box.t option

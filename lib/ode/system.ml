@@ -125,44 +125,28 @@ let digest s =
    computes the derivative array for a given time and state; parameters
    are fixed at compile time.
 
-   Tape path: the system's cached tape makes repeated compiles (one per
-   SMC sample) a parameter-array fill instead of a substitution plus a
-   closure-tree build.  The returned closure owns its scratch and input
-   buffers, so it must not be called from two domains at once — callers
-   compile per worker, as before. *)
+   The system's cached tape makes repeated compiles (one per SMC sample)
+   a parameter-array fill instead of a substitution plus a closure-tree
+   build.  The returned closure owns its scratch and input buffers, so
+   it must not be called from two domains at once — callers compile per
+   worker. *)
 let compile ?(param_env = []) s =
   List.iter
     (fun p ->
       if not (List.mem_assoc p param_env) then
         invalid_arg (Printf.sprintf "System.compile: parameter %S not bound" p))
     s.params;
-  if Expr.Tape.enabled () then begin
-    let tp = rhs_tape s in
-    let n = List.length s.vars and np = List.length s.params in
-    let inp = Array.make (n + np + 1) 0.0 in
-    List.iteri (fun j p -> inp.(n + j) <- List.assoc p param_env) s.params;
-    let sc = Expr.Tape.scratch tp in
-    fun t state ->
-      Array.blit state 0 inp 0 n;
-      inp.(n + np) <- t;
-      let out = Array.make n 0.0 in
-      Expr.Tape.eval_floats_into tp sc ~inputs:inp ~out;
-      out
-  end
-  else begin
-    let bound = bind_params param_env s in
-    let order = bound.vars @ [ time_var ] in
-    let compiled =
-      Array.of_list
-        (List.map (fun (_, t) -> Expr.Term.compile ~vars:order t) bound.rhs)
-    in
-    let n = Array.length compiled in
-    fun t state ->
-      let arr = Array.make (n + 1) 0.0 in
-      Array.blit state 0 arr 0 n;
-      arr.(n) <- t;
-      Array.map (fun f -> f arr) compiled
-  end
+  let tp = rhs_tape s in
+  let n = List.length s.vars and np = List.length s.params in
+  let inp = Array.make (n + np + 1) 0.0 in
+  List.iteri (fun j p -> inp.(n + j) <- List.assoc p param_env) s.params;
+  let sc = Expr.Tape.scratch tp in
+  fun t state ->
+    Array.blit state 0 inp 0 n;
+    inp.(n + np) <- t;
+    let out = Array.make n 0.0 in
+    Expr.Tape.eval_floats_into tp sc ~inputs:inp ~out;
+    out
 
 (* Like [compile], but the returned closure writes the derivative into a
    caller-provided buffer instead of allocating a fresh array per call.
@@ -176,33 +160,15 @@ let compile_into ?(param_env = []) s =
       if not (List.mem_assoc p param_env) then
         invalid_arg (Printf.sprintf "System.compile_into: parameter %S not bound" p))
     s.params;
-  let n = List.length s.vars in
-  if Expr.Tape.enabled () then begin
-    let tp = rhs_tape s in
-    let np = List.length s.params in
-    let inp = Array.make (n + np + 1) 0.0 in
-    List.iteri (fun j p -> inp.(n + j) <- List.assoc p param_env) s.params;
-    let sc = Expr.Tape.scratch tp in
-    fun t state out ->
-      Array.blit state 0 inp 0 n;
-      inp.(n + np) <- t;
-      Expr.Tape.eval_floats_into tp sc ~inputs:inp ~out
-  end
-  else begin
-    let bound = bind_params param_env s in
-    let order = bound.vars @ [ time_var ] in
-    let compiled =
-      Array.of_list
-        (List.map (fun (_, t) -> Expr.Term.compile ~vars:order t) bound.rhs)
-    in
-    let arr = Array.make (n + 1) 0.0 in
-    fun t state out ->
-      Array.blit state 0 arr 0 n;
-      arr.(n) <- t;
-      for i = 0 to n - 1 do
-        out.(i) <- compiled.(i) arr
-      done
-  end
+  let tp = rhs_tape s in
+  let n = List.length s.vars and np = List.length s.params in
+  let inp = Array.make (n + np + 1) 0.0 in
+  List.iteri (fun j p -> inp.(n + j) <- List.assoc p param_env) s.params;
+  let sc = Expr.Tape.scratch tp in
+  fun t state out ->
+    Array.blit state 0 inp 0 n;
+    inp.(n + np) <- t;
+    Expr.Tape.eval_floats_into tp sc ~inputs:inp ~out
 
 (* Interval evaluation of the vector field over a box binding state
    variables, parameters, and (optionally) time. *)

@@ -41,8 +41,7 @@ val compile : ?param_env:(string * float) list -> t -> float -> float array -> f
 (** [compile ~param_env sys] is the vector field as a fast closure
     [t -> state -> derivative]; all parameters must be bound.  The
     closure owns internal scratch buffers: share it freely within one
-    domain, but compile per worker domain (as a fresh tree-walking
-    closure would also require).
+    domain, but compile per worker domain.
     @raise Invalid_argument on an unbound parameter. *)
 
 val compile_into :

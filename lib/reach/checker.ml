@@ -61,7 +61,6 @@ let journal_flags jobs =
     ("affine", string_of_bool (Interval.Affine.enabled ()));
     ("tm", "false");
     ("cache", string_of_bool (Cache.enabled ()));
-    ("tape", string_of_bool (Expr.Tape.enabled ()));
     ("jobs", string_of_int jobs) ]
 
 type config = {
@@ -242,13 +241,12 @@ let method_fingerprint = function
       Printf.sprintf "I%h,%d,%h" h newton_iters newton_tol
 
 let seg_group cfg pb_sys ~t_end =
-  Printf.sprintf "segenc|%s|%s|%s|%d|%d|%h|%h|%b|%h"
+  Printf.sprintf "segenc|%s|%s|%s|%d|%d|%h|%h|%h"
     (Ode.System.digest pb_sys)
     (Ode.Enclosure.config_fingerprint cfg.enclosure)
     (method_fingerprint cfg.sim_method)
     cfg.fallback_samples cfg.fallback_windows cfg.fallback_margin
     cfg.tube_quality_width
-    (Expr.Tape.enabled ())
     t_end
 
 (* Compute an enclosure of the flow of [sys] from [init_box] under

@@ -82,7 +82,7 @@ let problem_group cfg prob =
   Buffer.add_string buf (Ode.System.digest prob.sys);
   Buffer.add_char buf '|';
   Buffer.add_string buf (Ode.Enclosure.config_fingerprint cfg.enclosure);
-  Buffer.add_string buf (Printf.sprintf "|%b|" (Expr.Tape.enabled ()));
+  Buffer.add_char buf '|';
   List.iter
     (fun (v, itv) ->
       Buffer.add_string buf
@@ -189,7 +189,6 @@ let synthesize ?(config = default_config) prob =
             ("affine", string_of_bool (Interval.Affine.enabled ()));
             ("tm", "false");
             ("cache", string_of_bool (Cache.enabled ()));
-            ("tape", string_of_bool (Expr.Tape.enabled ()));
             ("jobs", string_of_int jobs) ]
         ()
     else 0

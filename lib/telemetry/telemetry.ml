@@ -573,7 +573,11 @@ module Trace = struct
        first := false
      end);
     List.iter (fun b -> emit_buf buf pid first b) (all_bufs ());
-    Buffer.add_string buf "\n]}\n";
+    (* What the rings overwrote, so a reader can tell a truncated trace
+       from a complete one. *)
+    Buffer.add_string buf
+      (Printf.sprintf "\n],\"otherData\":{\"events_dropped\":%d}}\n"
+         (events_dropped ()));
     Buffer.contents buf
 
   let write_file path =
@@ -589,6 +593,7 @@ module Trace = struct
     instants : int;
     tids : int list;
     max_depth : int;
+    dropped : int;
   }
 
   exception Invalid of string
@@ -696,6 +701,18 @@ module Trace = struct
             Hashtbl.fold (fun tid () acc -> tid :: acc) tids []
             |> List.sort compare
           in
+          let dropped =
+            match List.assoc_opt "otherData" top with
+            | None -> 0
+            | Some (Json.Obj other) -> (
+                match List.assoc_opt "events_dropped" other with
+                | None -> 0
+                | Some (Json.Num n) when Float.is_integer n && n >= 0.0 ->
+                    int_of_float n
+                | Some _ ->
+                    raise (Invalid "otherData.events_dropped is not a count"))
+            | Some _ -> raise (Invalid "otherData is not an object")
+          in
           Ok
             {
               events = !events;
@@ -704,6 +721,7 @@ module Trace = struct
               instants = !instants;
               tids = tid_list;
               max_depth = !max_depth;
+              dropped;
             }
         with Invalid msg -> Error msg)
 

@@ -160,7 +160,9 @@ module Trace : sig
       one pid (the process), one tid per domain, [ph] B/E/i events
       with microsecond timestamps.  Begin/end balance is enforced at
       export: an end whose begin was overwritten is skipped, a begin
-      whose end was overwritten is closed at the last timestamp. *)
+      whose end was overwritten is closed at the last timestamp.  The
+      top-level ["otherData"] object carries [events_dropped] (the
+      {!events_dropped} count), so a truncated trace says so. *)
 
   val write_file : string -> unit
 
@@ -171,6 +173,9 @@ module Trace : sig
     instants : int;
     tids : int list;  (** distinct tids, sorted *)
     max_depth : int;  (** deepest begin/end nesting over all tids *)
+    dropped : int;
+        (** events the rings overwrote ([otherData.events_dropped];
+            0 when absent): a non-zero count means a truncated trace *)
   }
 
   val validate : string -> (check, string) result

@@ -64,8 +64,21 @@ let test_workflow_check_and_refute () =
   let impossible =
     { Reach.Encoding.goal_modes = []; predicate = Expr.Parse.formula "x >= 2" }
   in
+  (* Over k ∈ [0.5, 2] the interval tube of x' = -kx wraps past the
+     quality width by t = 2, so growth is unsat only by a sampled
+     bracket: no refutation.  Over k ∈ [0.9, 1.1] the validated tube
+     holds and the same query is refuted by proof. *)
+  (match W.check ~param_box ~goal:impossible ~k:0 ~time_bound:2.0 automaton with
+  | Reach.Checker.Unsat { rigorous = false } -> ()
+  | r ->
+      Alcotest.failf "expected a bracketed unsat, got %s"
+        (Fmt.str "%a" Reach.Checker.pp_result r));
+  Alcotest.(check bool) "bracketed growth unsat is no refutation" false
+    (W.refutes ~param_box ~goal:impossible ~k:0 ~time_bound:2.0 automaton);
   Alcotest.(check bool) "growth refuted" true
-    (W.refutes ~param_box ~goal:impossible ~k:0 ~time_bound:2.0 automaton)
+    (W.refutes
+       ~param_box:(Box.of_list [ ("k", I.make 0.9 1.1) ])
+       ~goal:impossible ~k:0 ~time_bound:2.0 automaton)
 
 let test_smc_screen () =
   let prob =
@@ -183,7 +196,13 @@ let test_therapy_tbi () =
   | Th.Plan p ->
       Alcotest.(check (list string)) "paper's scheme" [ "m0"; "mA"; "mB"; "m0" ] p.Th.path;
       Alcotest.(check int) "3 drug decisions" 3 p.Th.jumps;
-      Alcotest.(check bool) "safety verified" true p.Th.safety_checked;
+      Alcotest.(check bool) "safety checked" true p.Th.safety_checked;
+      (* The harm check's flows fall back to ensemble brackets, so the
+         plan's safety is bracketed, not proved, and says so. *)
+      Alcotest.(check bool) "safety not rigorous" false p.Th.safety_rigorous;
+      Alcotest.(check string) "plan text says bracketed"
+        "scheme: m0 -> mA -> mB -> m0 (3 jumps, safety bracketed)"
+        (List.hd (String.split_on_char '\n' (Fmt.str "%a" Th.pp_plan p)));
       (* replay the plan: the simulated policy must avoid death *)
       let traj =
         Biomodels.Tbi.simulate_policy
@@ -237,6 +256,18 @@ let test_robustness_low_range_bracketed () =
   | v ->
       Alcotest.failf "expected a bracketed robust verdict, got %s"
         (Fmt.str "%a" Ro.pp_verdict v)
+
+(* The same bracketed unsat through the workflow API: [check] reports
+   it with its rigor, and [refutes] does not count it as a refutation. *)
+let test_workflow_bracketed_unsat_refutes_nothing () =
+  let automaton = bcf_make (0.0, 0.05) in
+  (match W.check ~goal:bcf_goal ~k:3 ~time_bound:100.0 automaton with
+  | Reach.Checker.Unsat { rigorous = false } -> ()
+  | r ->
+      Alcotest.failf "expected a bracketed unsat, got %s"
+        (Fmt.str "%a" Reach.Checker.pp_result r));
+  Alcotest.(check bool) "bracketed unsat is not a refutation" false
+    (W.refutes ~goal:bcf_goal ~k:3 ~time_bound:100.0 automaton)
 
 (* The CLI's --jobs reaches the checker through [?config]: a parallel
    path search must classify both ranges exactly as the sequential one. *)
@@ -319,6 +350,8 @@ let () =
           Alcotest.test_case "low range bracketed" `Quick
             test_robustness_low_range_bracketed;
           Alcotest.test_case "jobs 2 agrees" `Quick test_robustness_jobs_agree;
+          Alcotest.test_case "bracketed unsat refutes nothing" `Quick
+            test_workflow_bracketed_unsat_refutes_nothing;
           Alcotest.test_case "sweep crossover" `Slow test_robustness_sweep_crossover;
           Alcotest.test_case "threshold bisection" `Slow test_robustness_threshold_bisection;
         ] );

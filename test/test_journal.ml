@@ -92,7 +92,7 @@ let test_pave_fingerprint jobs () =
   check_audit forest;
   let run = the_run forest in
   Alcotest.(check string) "kind" "pave" run.J.kind;
-  check_tm_flag run (Expr.Tape.enabled () && Interval.Tm.enabled ());
+  check_tm_flag run (Interval.Tm.enabled ());
   let lb = leaf_bounds forest run.J.rid in
   Alcotest.(check int) "leaf count" (List.length solver_boxes) (List.length lb);
   Alcotest.(check string)

@@ -282,6 +282,131 @@ let test_enclosure_oscillator () =
 
 (* ---- Properties ---- *)
 
+(* ---- Tree-walking flow oracle ----
+
+   The original validated integrator: every Picard iteration rebuilds a
+   Box (state ∪ params ∪ t) and tree-walks each right-hand side with
+   [Expr.Term.eval_interval].  [Enc.flow] runs the same arithmetic over
+   flat interval tapes, operation for operation, so with the affine pass
+   off (it only exists on the tape path) and caches off the two tubes
+   must agree bit for bit. *)
+
+let eval_field terms params time state =
+  let box =
+    Box.set Sys.time_var time
+      (List.fold_left (fun b (k, i) -> Box.set k i b) params (Box.to_list state))
+  in
+  List.map (fun (v, t) -> (v, Expr.Term.eval_interval box t)) terms
+
+let box_add_scaled state scale deriv =
+  List.fold_left
+    (fun b (v, d) -> Box.update v (fun x -> I.add x (I.mul scale d)) b)
+    state deriv
+
+(* One validated step; [None] when no a-priori enclosure was found. *)
+let flow_step (cfg : Enc.config) sys second params t0 h x0 =
+  let time_whole = I.make t0 (t0 +. h) in
+  let h_itv = I.make 0.0 h in
+  let field = Sys.rhs sys in
+  let rec picard b k =
+    if k > cfg.max_picard then None
+    else
+      let f_b = eval_field field params time_whole b in
+      let next = box_add_scaled x0 h_itv f_b in
+      if Box.subset next b then Some b
+      else
+        let widened =
+          Box.map
+            (fun i -> I.inflate (cfg.inflation *. (I.width i +. 1e-12)) i)
+            (Box.hull b next)
+        in
+        picard widened (k + 1)
+  in
+  let seed =
+    let f0 = eval_field field params time_whole x0 in
+    Box.map (fun i -> I.inflate (cfg.inflation *. (I.width i +. 1e-9)) i)
+      (box_add_scaled x0 h_itv f0)
+    |> Box.hull x0
+  in
+  match picard seed 0 with
+  | None -> None
+  | Some b ->
+      let at_end =
+        match cfg.order with
+        | Enc.Euler_1 ->
+            let f_b = eval_field field params time_whole b in
+            box_add_scaled x0 (I.of_float h) f_b
+        | Enc.Taylor_2 ->
+            let f_x0 = eval_field field params (I.of_float t0) x0 in
+            let d2_b = eval_field second params time_whole b in
+            let first = box_add_scaled x0 (I.of_float h) f_x0 in
+            Box.inter (box_add_scaled first (I.make 0.0 (0.5 *. h *. h)) d2_b) b
+      in
+      if Box.is_empty at_end then None
+      else
+        Some ({ Enc.t_lo = t0; t_hi = t0 +. h; enclosure = b; at_end }, at_end)
+
+let flow_tree (cfg : Enc.config) sys ~params ~init ~t_end =
+  let second = if cfg.order = Enc.Taylor_2 then Enc.second_derivative sys else [] in
+  let tube steps final t complete =
+    { Enc.vars = Sys.vars sys; steps = List.rev steps; final; t_end = t; complete }
+  in
+  let rec go t x h steps =
+    if t >= t_end -. 1e-12 then tube steps x t true
+    else if Box.width x > cfg.max_width then tube steps x t false
+    else
+      let h = Float.min h (t_end -. t) in
+      match flow_step cfg sys second params t h x with
+      | Some (step, x') -> go step.Enc.t_hi x' cfg.h (step :: steps)
+      | None ->
+          if h <= cfg.h_min then tube steps x t false else go t x (h /. 2.0) steps
+  in
+  go 0.0 init cfg.h []
+
+let test_flow_matches_tree_oracle () =
+  Cache.set_policy Cache.Off;
+  Interval.Affine.set_enabled false;
+  Fun.protect
+    ~finally:(fun () ->
+      Cache.clear_policy_override ();
+      Interval.Affine.clear_enabled_override ())
+  @@ fun () ->
+  let same_box what a b =
+    if not (Box.equal a b) then
+      Alcotest.failf "%s: tape %s <> tree %s" what (Box.to_string a)
+        (Box.to_string b)
+  in
+  let check name sys ~params ~init ~t_end =
+    List.iter
+      (fun order ->
+        let config = { Enc.default_config with order } in
+        let tape = Enc.flow ~config ~params ~init ~t_end sys in
+        let tree = flow_tree config sys ~params ~init ~t_end in
+        Alcotest.(check bool) (name ^ " complete") tree.Enc.complete tape.Enc.complete;
+        Alcotest.(check (float 0.0)) (name ^ " t_end") tree.Enc.t_end tape.Enc.t_end;
+        Alcotest.(check int) (name ^ " steps")
+          (List.length tree.Enc.steps) (List.length tape.Enc.steps);
+        same_box (name ^ " final") tape.Enc.final tree.Enc.final;
+        List.iter2
+          (fun (a : Enc.step) (b : Enc.step) ->
+            Alcotest.(check (float 0.0)) (name ^ " t_lo") b.t_lo a.t_lo;
+            Alcotest.(check (float 0.0)) (name ^ " t_hi") b.t_hi a.t_hi;
+            same_box (name ^ " enclosure") a.enclosure b.enclosure;
+            same_box (name ^ " at_end") a.at_end b.at_end)
+          tape.Enc.steps tree.Enc.steps)
+      [ Enc.Euler_1; Enc.Taylor_2 ]
+  in
+  (* A parameterized oscillator from an interval initial set. *)
+  check "oscillator" oscillator
+    ~params:(box1 "w" 1.9 2.1)
+    ~init:(Box.of_list [ ("x", I.make 0.99 1.01); ("y", I.of_float 0.0) ])
+    ~t_end:0.5;
+  (* A forced decay whose field reads the time variable, so both the
+     field and the Taylor-2 remainder (∂f/∂t) exercise the t input. *)
+  check "forced decay"
+    (Sys.of_strings ~vars:[ "x" ] ~params:[] ~rhs:[ ("x", "-x + sin(t)") ])
+    ~params:Box.empty_map ~init:(box1 "x" 0.9 1.1) ~t_end:1.0
+
 let prop_enclosure_contains_exact =
   let gen =
     QCheck.Gen.(
@@ -351,6 +476,8 @@ let () =
           Alcotest.test_case "initial box" `Quick test_enclosure_initial_box;
           Alcotest.test_case "formula along tube" `Quick test_formula_along;
           Alcotest.test_case "oscillator" `Quick test_enclosure_oscillator;
+          Alcotest.test_case "tape flow matches tree oracle" `Quick
+            test_flow_matches_tree_oracle;
         ] );
       ("properties", qcheck_tests);
     ]

@@ -254,11 +254,7 @@ let test_tan_multi_branch_unchanged () =
       Alcotest.(check bool) (name ^ " unchanged") true
         (I.equal x (I.make 0.0 10.0)))
 
-(* ---- end-to-end: tape on/off and seq/parallel agreement ---- *)
-
-let with_tapes flag f =
-  Tape.set_enabled flag;
-  Fun.protect ~finally:Tape.clear_enabled_override f
+(* ---- end-to-end: seq/parallel agreement ---- *)
 
 let verdict_kind = function
   | S.Delta_sat _ -> "delta-sat"
@@ -274,52 +270,41 @@ let decide_cases =
       box [ ("x", -1.0, 1.0); ("y", -1.0, 1.0) ] );
     ("sin", "sin(x) = 1/2", box [ ("x", 0.0, 3.0) ]) ]
 
-let test_decide_tape_vs_tree () =
+let test_decide_tape_parallel () =
   List.iter
     (fun (name, fs, bx) ->
       let f = P.formula fs in
-      let on = with_tapes true (fun () -> verdict_kind (S.decide f bx)) in
-      let off = with_tapes false (fun () -> verdict_kind (S.decide f bx)) in
-      Alcotest.(check string) (name ^ " tape agrees with tree") off on)
-    decide_cases
-
-let test_decide_tape_parallel () =
-  with_tapes true (fun () ->
-      List.iter
-        (fun (name, fs, bx) ->
-          let f = P.formula fs in
-          let kind jobs =
-            verdict_kind (S.decide ~config:{ S.default_config with jobs } f bx)
-          in
-          let seq = kind 1 in
-          List.iter
-            (fun jobs ->
-              Alcotest.(check string)
-                (Printf.sprintf "%s at jobs=%d" name jobs)
-                seq (kind jobs))
-            [ 2; 4 ])
-        decide_cases)
-
-let test_pave_tape_parallel () =
-  with_tapes true (fun () ->
-      let f = P.formula "x^2 + y^2 <= 1" in
-      let bx = box [ ("x", -1.5, 1.5); ("y", -1.5, 1.5) ] in
-      let config jobs = { S.default_config with S.epsilon = 0.05; jobs } in
-      let sort = List.sort (fun a b -> compare (Box.to_list a) (Box.to_list b)) in
-      let base = S.pave ~config:(config 1) f bx in
+      let kind jobs =
+        verdict_kind (S.decide ~config:{ S.default_config with jobs } f bx)
+      in
+      let seq = kind 1 in
       List.iter
         (fun jobs ->
-          let p = S.pave ~config:(config jobs) f bx in
-          let check label l l' =
-            Alcotest.(check bool)
-              (Printf.sprintf "%s leaves equal at jobs=%d" label jobs)
-              true
-              (List.equal Box.equal (sort l) (sort l'))
-          in
-          check "sat" base.S.sat p.S.sat;
-          check "unsat" base.S.unsat p.S.unsat;
-          check "undecided" base.S.undecided p.S.undecided)
+          Alcotest.(check string)
+            (Printf.sprintf "%s at jobs=%d" name jobs)
+            seq (kind jobs))
         [ 2; 4 ])
+    decide_cases
+
+let test_pave_tape_parallel () =
+  let f = P.formula "x^2 + y^2 <= 1" in
+  let bx = box [ ("x", -1.5, 1.5); ("y", -1.5, 1.5) ] in
+  let config jobs = { S.default_config with S.epsilon = 0.05; jobs } in
+  let sort = List.sort (fun a b -> compare (Box.to_list a) (Box.to_list b)) in
+  let base = S.pave ~config:(config 1) f bx in
+  List.iter
+    (fun jobs ->
+      let p = S.pave ~config:(config jobs) f bx in
+      let check label l l' =
+        Alcotest.(check bool)
+          (Printf.sprintf "%s leaves equal at jobs=%d" label jobs)
+          true
+          (List.equal Box.equal (sort l) (sort l'))
+      in
+      check "sat" base.S.sat p.S.sat;
+      check "unsat" base.S.unsat p.S.unsat;
+      check "undecided" base.S.undecided p.S.undecided)
+    [ 2; 4 ]
 
 (* ---- tape structure ---- *)
 
@@ -361,9 +346,7 @@ let () =
           Alcotest.test_case "tan multi branch" `Quick
             test_tan_multi_branch_unchanged ] );
       ( "solver",
-        [ Alcotest.test_case "decide tape vs tree" `Quick
-            test_decide_tape_vs_tree;
-          Alcotest.test_case "decide tape parallel" `Quick
+        [ Alcotest.test_case "decide tape parallel" `Quick
             test_decide_tape_parallel;
           Alcotest.test_case "pave tape parallel" `Quick
             test_pave_tape_parallel ] );

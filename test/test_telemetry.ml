@@ -208,6 +208,35 @@ let test_validate_rejects_garbage () =
   reject "crossed"
     "{\"traceEvents\":[{\"name\":\"a\",\"ph\":\"B\",\"pid\":1,\"tid\":0,\"ts\":1.0},{\"name\":\"b\",\"ph\":\"E\",\"pid\":1,\"tid\":0,\"ts\":2.0}]}"
 
+(* The export reports what the ring overwrote.  Each run records on a
+   fresh domain, whose buffer is created at the 16-event capacity. *)
+let test_trace_reports_dropped () =
+  T.Trace.set_capacity 16;
+  T.set_metrics true;
+  T.set_trace true;
+  let record n =
+    Domain.join
+      (Domain.spawn (fun () ->
+           for _ = 1 to n do
+             T.Span.instant tm_outer
+           done))
+  in
+  let check_trace label ~events ~dropped =
+    Alcotest.(check int) (label ^ ": events_dropped") dropped
+      (T.Trace.events_dropped ());
+    match T.Trace.validate (T.Trace.to_json ()) with
+    | Error msg -> Alcotest.failf "%s: invalid trace: %s" label msg
+    | Ok c ->
+        Alcotest.(check int) (label ^ ": events kept") events c.T.Trace.events;
+        Alcotest.(check int) (label ^ ": dropped in the export") dropped
+          c.T.Trace.dropped
+  in
+  record 10;
+  check_trace "fits" ~events:10 ~dropped:0;
+  T.reset ();
+  record 40;
+  check_trace "overflows" ~events:16 ~dropped:24
+
 (* ---- disabled mode is a no-op ---- *)
 
 let test_disabled_records_nothing () =
@@ -308,7 +337,9 @@ let () =
         [ Alcotest.test_case "round-trip on a real solve" `Quick
             (clean test_trace_roundtrip);
           Alcotest.test_case "validator rejects malformed traces" `Quick
-            (clean test_validate_rejects_garbage) ] );
+            (clean test_validate_rejects_garbage);
+          Alcotest.test_case "export reports dropped events" `Quick
+            (clean test_trace_reports_dropped) ] );
       ( "disabled is a no-op",
         [ Alcotest.test_case "nothing recorded" `Quick
             (clean test_disabled_records_nothing);

@@ -442,8 +442,7 @@ let test_contractor_on_vs_off () =
         (search_boxes 4 bx))
     decide_cases;
   Alcotest.(check int) "~tm:false makes no icp.tm evaluations" 0 !off_spans;
-  Alcotest.(check bool) "~tm:true advances the icp.tm span"
-    (Expr.Tape.enabled ())
+  Alcotest.(check bool) "~tm:true advances the icp.tm span" true
     (tm_span_count () > tm_before)
 
 (* Paving on vs off: leaf sets legitimately differ (the TM pass changes
@@ -626,14 +625,12 @@ let test_decide_makes_no_tm_evaluations () =
   let before = tm_span_count () in
   List.iter (fun (_, fs, bx) -> ignore (S.decide (P.formula fs) bx)) decide_cases;
   Alcotest.(check int) "icp.tm spans during decide" before (tm_span_count ());
-  (* The span is live: a contractor that asks for TM does advance it
-     (Taylor models need the tape path). *)
+  (* The span is live: a contractor that asks for TM does advance it. *)
   let _, fs, bx = List.nth decide_cases 3 in
   List.iter
     (fun c -> ignore (c bx))
     (case_contractors ~tm:true (P.formula fs));
-  Alcotest.(check bool) "~tm:true contractor evaluates TM"
-    (Expr.Tape.enabled ())
+  Alcotest.(check bool) "~tm:true contractor evaluates TM" true
     (tm_span_count () > before)
 
 let () =
