@@ -1355,13 +1355,13 @@ let j1 ?(quick = false) () =
     records
 
 (* ------------------------------------------------------------------ *)
-(* N1 / AF1 / TM1: search layers off vs on                             *)
+(* N1 / TM1: search layers off vs on; AF1: the affine ODE field       *)
 (* ------------------------------------------------------------------ *)
 
-(* Dependency-rich decide and pave workloads shared by the three
+(* Dependency-rich decide and pave workloads shared by the two search
    layer ablations — terms where variables occur repeatedly, so the
-   natural interval extension is loose and a first-order expansion, an
-   affine form or a Taylor model has something to win. *)
+   natural interval extension is loose and a first-order expansion or
+   a Taylor model has something to win. *)
 let layer_workloads ~quick =
   let dcfg =
     { Icp.Solver.default_config with
@@ -1399,8 +1399,7 @@ let layer_workloads ~quick =
       box [ ("k", 0.05, 2.5); ("a", 0.2, 3.0) ] );
     (* A band paving where every atom mentions its variable thrice: split
        to ε along its boundary and sat-certified by interval evaluation,
-       which the affine pass does not touch and the Taylor-model
-       certifier does. *)
+       which the Taylor-model certifier tightens. *)
     ( "pave-cubic-band", `Pave pcfg,
       "x^3 - 2*x^2 + 1.25*x >= 0.2 and x^3 - 2*x^2 + 1.25*x <= 0.3 and \
        y^3 - 2*y^2 + 1.25*y >= 0.2 and y^3 - 2*y^2 + 1.25*y <= 0.3",
@@ -1514,31 +1513,22 @@ let n1 ?(quick = false) () =
     (ablation_records rows)
 
 (* AF1: the affine-form layer (Interval.Affine: noise-symbol evaluation
-   tightening the HC4 forward pass and the Picard/Taylor remainder
-   boxes) against the plain interval search — repeated variable
-   occurrences are exactly where shared noise symbols cancel.  The ODE
-   workload records tube widths, not verdicts: the affine pass may only
-   tighten the enclosure, so it must not lose completeness.  The
-   Taylor-model switch is held off in both arms: it reaches pave, where
-   its certifier and contractor would mask the affine pass (TM1 measures
-   TM on top of this baseline). *)
+   of the ODE field, intersected into the Picard/Taylor remainder boxes)
+   against the plain interval tube.  The field is the one place the
+   switch reaches — decide and pave run HC4 on plain intervals — so the
+   section is a single flow workload.  It records tube widths, not
+   verdicts: the affine pass may only tighten the enclosure, so it must
+   not lose completeness. *)
 let af1 ?(quick = false) () =
   section
     (if quick then "AF1  Affine arithmetic off vs on (quick)"
-     else "AF1  Affine arithmetic: noise-symbol forward pass, off vs on");
+     else "AF1  Affine arithmetic: ODE field evaluation, off vs on");
   Cache.set_policy Cache.Off;
-  Interval.Tm.set_enabled false;
   Fun.protect ~finally:(fun () ->
       Cache.clear_policy_override ();
-      Interval.Tm.clear_enabled_override ();
       Interval.Affine.clear_enabled_override ())
   @@ fun () ->
   let rounds = if quick then 2 else 3 in
-  let rows =
-    layer_ablation ~section:"AF1" ~quick ~rounds ~set:Interval.Affine.set_enabled
-      [ "decide-cubic-separation"; "decide-mm-kinetics"; "pave-impulse-fit";
-        "pave-cubic-band"; "pave-mm-infeasible" ]
-  in
   (* Validated flow of the logistic equation from an interval initial
      set.  x'(t) = x(1-x) mentions x twice, so the interval remainder
      boxes over-rotate where the affine pass cancels. *)
@@ -1565,7 +1555,6 @@ let af1 ?(quick = false) () =
            Interval.Affine.set_enabled on;
            Ode.Enclosure.flow ~params:Box.empty_map ~init ~t_end sys))
   in
-  print_ablation rows;
   (match ode with
   | [ off; on ] ->
       let w r = List.assoc "final_width" r.values in
@@ -1577,18 +1566,16 @@ let af1 ?(quick = false) () =
              else "interval tube diverged, affine bounded")
             (count off "steps") (count on "steps") ]
   | _ -> assert false);
-  write_json "BENCH_affine.json" ~section:"AF1" ~quick ~rounds
-    ~meta:[ ("tm", Json.Bool false) ]
-    (ablation_records rows @ ode)
+  write_json "BENCH_affine.json" ~section:"AF1" ~quick ~rounds ode
 
 (* TM1: the degree-2 Taylor-model layer (Interval.Tm: quadratic
    monomials kept exactly, Bernstein range bound, enclosure-assisted
-   sat-certification in pave) against the affine-era search: both arms
-   run with the affine layer at its default (on), so the ratios isolate
-   what the second-order terms buy on top of AF1.  The switch reaches
-   only pave (decide and ODE flows never evaluate Taylor models), so the
-   rows are AF1's pavings; its ~1.00x band row is the target.  Box
-   reductions are recorded honestly, regressions included. *)
+   sat-certification in pave) against interval-only paving.  The switch
+   reaches only pave (decide and ODE flows never evaluate Taylor
+   models), so the rows are the layer workloads' pavings; the band
+   paving, which plain interval certification splits to ε along its
+   whole boundary, is the target.  Box reductions are recorded
+   honestly, regressions included. *)
 let tm1 ?(quick = false) () =
   section
     (if quick then "TM1  Taylor models off vs on (quick)"
@@ -1605,7 +1592,6 @@ let tm1 ?(quick = false) () =
   in
   print_ablation rows;
   write_json "BENCH_tm.json" ~section:"TM1" ~quick ~rounds
-    ~meta:[ ("affine", Json.Bool true) ]
     (ablation_records rows)
 
 (* ------------------------------------------------------------------ *)

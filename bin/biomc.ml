@@ -96,58 +96,6 @@ let merge_params defaults overrides =
     defaults
   @ List.filter (fun (k, _) -> not (List.mem_assoc k defaults)) overrides
 
-(* ---- simulate ---- *)
-
-let simulate () (name, entry) t_end params samples csv =
-  let t_end = Option.value ~default:entry.default_t_end t_end in
-  let params = merge_params entry.default_params params in
-  let h = entry.automaton () in
-  let traj = Hybrid.Simulate.simulate ~params ~init:[] ~t_end h in
-  (match csv with
-  | Some path ->
-      let oc = open_out path in
-      output_string oc (Hybrid.Simulate.to_csv traj);
-      close_out oc;
-      Fmt.pr "wrote %s@." path
-  | None -> ());
-  let vars = Hybrid.Automaton.vars h in
-  let rows =
-    List.init samples (fun i ->
-        let t = t_end *. float_of_int i /. float_of_int (Stdlib.max 1 (samples - 1)) in
-        Fmt.str "%.3f" t
-        :: List.map
-             (fun v ->
-               match Hybrid.Simulate.value_at traj v t with
-               | Some x -> Fmt.str "%.5f" x
-               | None -> "-")
-             vars)
-  in
-  Report.print
-    [ Report.heading (Printf.sprintf "Simulation: %s" name);
-      Report.text "%s" entry.description;
-      Report.kv
-        [ ("path", String.concat " -> " traj.Hybrid.Simulate.path);
-          ("stop", Fmt.str "%a" Hybrid.Simulate.pp_stop_reason traj.Hybrid.Simulate.reason);
-          ("time", Fmt.str "%.3f" traj.Hybrid.Simulate.total_time) ];
-      Report.table ~header:("t" :: vars) rows ];
-  Ok ()
-
-let samples_arg =
-  let doc = "Number of sample rows to print." in
-  Arg.(value & opt int 21 & info [ "samples" ] ~docv:"N" ~doc)
-
-let csv_arg =
-  let doc = "Also write the full trajectory as CSV to this file." in
-  Arg.(value & opt (some string) None & info [ "csv" ] ~docv:"FILE" ~doc)
-
-let simulate_cmd =
-  let info = Cmd.info "simulate" ~doc:"Numerically simulate a built-in model." in
-  Cmd.v info
-    Term.(
-      term_result
-        (const simulate $ logs_term $ model_arg $ t_end_arg $ param_arg $ samples_arg
-       $ csv_arg))
-
 let jobs_arg =
   let doc =
     "Worker domains for parallel solving / sampling (default: detected \
@@ -176,16 +124,17 @@ let no_newton_arg =
 
 let no_affine_arg =
   let doc =
-    "Disable affine-form (noise-symbol) evaluation in the HC4 forward \
-     passes and ODE enclosures, restoring plain interval arithmetic; \
-     equivalent to BIOMC_NO_AFFINE=1."
+    "Disable affine-form (noise-symbol) evaluation of the ODE field in \
+     validated flows (reach, synth), restoring plain interval \
+     enclosures; decide and pave never use affine forms.  Equivalent to \
+     BIOMC_NO_AFFINE=1."
   in
   Arg.(value & flag & info [ "no-affine" ] ~doc)
 
 let no_tm_arg =
   let doc =
     "Disable degree-2 Taylor models in pave (sat-certification and \
-     its infeasibility contractor), restoring the affine-era paving; \
+     its infeasibility contractor), restoring interval-only paving; \
      decide, reach, synth and ODE enclosures never use them.  \
      Equivalent to BIOMC_NO_TM=1."
   in
@@ -198,8 +147,8 @@ let apply_cache_policy no_cache =
    cache-assisted analyses. *)
 let cache_line () = Report.text "%s" (Cache.summary ())
 
-(* ---- common analysis flags (solve / reach / smc / synth / robustness /
-   therapy / stability) ---- *)
+(* ---- common analysis flags (every analysis subcommand: simulate /
+   reach / robustness / therapy / stability / smc / solve / synth) ---- *)
 
 type common = {
   jobs : int;
@@ -354,6 +303,58 @@ let with_common c body =
             (Telemetry.Trace.events_recorded ())
       | None -> ());
       Ok ()
+
+(* ---- simulate ---- *)
+
+let simulate () (name, entry) t_end params samples csv common =
+  with_common common @@ fun () ->
+  let t_end = Option.value ~default:entry.default_t_end t_end in
+  let params = merge_params entry.default_params params in
+  let h = entry.automaton () in
+  let traj = Hybrid.Simulate.simulate ~params ~init:[] ~t_end h in
+  (match csv with
+  | Some path ->
+      let oc = open_out path in
+      output_string oc (Hybrid.Simulate.to_csv traj);
+      close_out oc;
+      Fmt.pr "wrote %s@." path
+  | None -> ());
+  let vars = Hybrid.Automaton.vars h in
+  let rows =
+    List.init samples (fun i ->
+        let t = t_end *. float_of_int i /. float_of_int (Stdlib.max 1 (samples - 1)) in
+        Fmt.str "%.3f" t
+        :: List.map
+             (fun v ->
+               match Hybrid.Simulate.value_at traj v t with
+               | Some x -> Fmt.str "%.5f" x
+               | None -> "-")
+             vars)
+  in
+  Ok
+    [ Report.heading (Printf.sprintf "Simulation: %s" name);
+      Report.text "%s" entry.description;
+      Report.kv
+        [ ("path", String.concat " -> " traj.Hybrid.Simulate.path);
+          ("stop", Fmt.str "%a" Hybrid.Simulate.pp_stop_reason traj.Hybrid.Simulate.reason);
+          ("time", Fmt.str "%.3f" traj.Hybrid.Simulate.total_time) ];
+      Report.table ~header:("t" :: vars) rows ]
+
+let samples_arg =
+  let doc = "Number of sample rows to print." in
+  Arg.(value & opt int 21 & info [ "samples" ] ~docv:"N" ~doc)
+
+let csv_arg =
+  let doc = "Also write the full trajectory as CSV to this file." in
+  Arg.(value & opt (some string) None & info [ "csv" ] ~docv:"FILE" ~doc)
+
+let simulate_cmd =
+  let info = Cmd.info "simulate" ~doc:"Numerically simulate a built-in model." in
+  Cmd.v info
+    Term.(
+      term_result
+        (const simulate $ logs_term $ model_arg $ t_end_arg $ param_arg $ samples_arg
+       $ csv_arg $ common_term))
 
 (* ---- reach ---- *)
 

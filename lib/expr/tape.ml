@@ -445,9 +445,10 @@ let eval_interval tp sc inputs =
    noise symbol [i] — all occurrences of a variable are CSE'd into one
    OVar slot, so correlations between subexpressions sharing a variable
    are tracked exactly.  Every Affine operation matches the domain
-   semantics of the corresponding {!Ia} operation, so concretized slot
+   semantics of the corresponding {!Ia} operation, so concretized root
    ranges are sound enclosures of the same value sets the interval pass
-   bounds — the two can be intersected slot by slot. *)
+   bounds — callers intersect the two.  Its one production caller is the
+   ODE field evaluation in {!Ode.Enclosure}; HC4 never runs it. *)
 
 module A = Interval.Affine
 
@@ -486,55 +487,16 @@ let eval_affine_into tp sc ~inputs ~out =
     out.(k) <- A.concretize sc.aff.(tp.roots.(k))
   done
 
-(* Intersect the interval slot enclosures (left by [forward_intervals])
-   with the concretized affine slot ranges.  Returns [true] iff some
-   slot strictly tightened.  An empty intersection certifies that the
-   slot's subterm has an empty value set on the box — recorded as the
-   (nan, nan) empty slot, which the backward pass treats as infeasible
-   on contact. *)
-let affine_tighten tp sc dom =
-  forward_affine tp sc dom;
-  let lo = sc.ilos and hi = sc.ihis in
-  let af = sc.aff in
-  let tightened = ref false in
-  for s = 0 to Array.length tp.ops - 1 do
-    let l = Array.unsafe_get lo s in
-    if l = l then begin
-      let r = A.concretize af.(s) in
-      let rl = r.I.lo and rh = r.I.hi in
-      if rl <> rl || rh <> rh then begin
-        Array.unsafe_set lo s nan;
-        Array.unsafe_set hi s nan;
-        tightened := true
-      end
-      else begin
-        let h = Array.unsafe_get hi s in
-        let l' = fmax l rl and h' = fmin h rh in
-        if l' > h' then begin
-          Array.unsafe_set lo s nan;
-          Array.unsafe_set hi s nan;
-          tightened := true
-        end
-        else if not (l' = l && h' = h) then begin
-          Array.unsafe_set lo s l';
-          Array.unsafe_set hi s h';
-          tightened := true
-        end
-      end
-    end
-  done;
-  !tightened
-
 (* ---- Taylor-model forward pass ----
 
    The third operand interpretation: slot values are degree-2
    {!Interval.Tm} models over the same input-indexed symbols as the
-   affine pass, so the two walkers agree on what each symbol means and
-   their concretizations can both be intersected into the interval
-   slots.  Where the affine walker folds every second-order product
-   into a scalar radius, this one keeps quadratic monomials exactly and
-   bounds the polynomial range by Bernstein coefficients — tighter on
-   the band-boundary boxes that dominate paving. *)
+   affine pass, and their concretizations are intersected into the
+   interval slots by the TM-tightened HC4 revise (pave only).  Where the
+   affine walker folds every second-order product into a scalar radius,
+   this one keeps quadratic monomials exactly and bounds the polynomial
+   range by Bernstein coefficients — tighter on the band-boundary boxes
+   that dominate paving. *)
 
 module T = Interval.Tm
 
@@ -573,10 +535,12 @@ let eval_tm_into tp sc ~inputs ~out =
     out.(k) <- T.concretize sc.tms.(tp.roots.(k))
   done
 
-(* Taylor-model analogue of [affine_tighten]: intersect interval slot
-   enclosures with concretized TM slot ranges, recording emptiness as
-   the (nan, nan) slot.  Returns [true] iff some slot strictly
-   tightened. *)
+(* Intersect the interval slot enclosures (left by [forward_intervals])
+   with the concretized TM slot ranges.  Returns [true] iff some slot
+   strictly tightened.  An empty intersection certifies that the slot's
+   subterm has an empty value set on the box — recorded as the
+   (nan, nan) empty slot, which the backward pass treats as infeasible
+   on contact. *)
 let tm_tighten tp sc dom =
   forward_tm tp sc dom;
   let lo = sc.ilos and hi = sc.ihis in
@@ -852,12 +816,11 @@ and push tp sc s =
         require tp sc b
       end
 
-let hc4_revise tp sc ?(affine = false) ?(tm = false) ?mask ~target dom =
+let hc4_revise tp sc ?(tm = false) ?mask ~target dom =
   forward_intervals tp sc dom;
-  (* Each enclosure pass intersects every slot with its concretized
-     range before the backward pass sees them, and refutes outright
-     when it empties root ∩ target.  Refutation short-circuits: the TM
-     pass only runs when the affine pass left the root feasible. *)
+  (* The TM pass intersects every slot with its concretized range
+     before the backward pass sees them, and refutes outright when it
+     empties root ∩ target. *)
   let r0 = tp.roots.(0) in
   let tlo = target.I.lo and thi = target.I.hi in
   let meets_target () =
@@ -866,20 +829,13 @@ let hc4_revise tp sc ?(affine = false) ?(tm = false) ?mask ~target dom =
     l = l && tlo = tlo && fmax l tlo <= fmin h thi
   in
   let refuted =
-    (affine
-    && A.with_span (fun () ->
+    tm
+    && T.with_span (fun () ->
            let pre = meets_target () in
-           if affine_tighten tp sc dom then A.note_tightening ();
+           if tm_tighten tp sc dom then T.note_tightening ();
            let post = meets_target () in
-           if pre && not post then A.note_refutation ();
-           not post))
-    || tm
-       && T.with_span (fun () ->
-              let pre = meets_target () in
-              if tm_tighten tp sc dom then T.note_tightening ();
-              let post = meets_target () in
-              if pre && not post then T.note_refutation ();
-              not post)
+           if pre && not post then T.note_refutation ();
+           not post)
   in
   if refuted then false
   else begin

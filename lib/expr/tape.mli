@@ -79,7 +79,10 @@ val eval_interval : t -> scratch -> I.t array -> I.t
     affine operation matches the domain semantics of the corresponding
     {!Interval.Ia} operation, so the concretized result is a sound
     enclosure of the same value set as {!eval_interval_into} — never
-    assumed tighter; callers intersect the two. *)
+    assumed tighter; callers intersect the two.  The ODE field
+    evaluation ([Ode.Enclosure]) is the one production caller: HC4
+    runs on plain intervals, tightened only by the Taylor-model pass
+    where pave asks for it. *)
 
 val eval_affine_into : t -> scratch -> inputs:I.t array -> out:I.t array -> unit
 (** Evaluate every root affinely over the input box and store the
@@ -119,7 +122,6 @@ val smooth_on : t -> scratch -> bool
 val hc4_revise :
   t ->
   scratch ->
-  ?affine:bool ->
   ?tm:bool ->
   ?mask:bool array ->
   target:I.t ->
@@ -133,21 +135,14 @@ val hc4_revise :
     [false] iff the constraint [root ∈ target] is infeasible on [dom] (in
     which case [dom] is meaningless and should be discarded).
 
-    With [~affine:true] (default [false]) the forward enclosures are
-    first intersected slot-by-slot with the affine walker's concretized
-    ranges — a sound tightening, since both passes enclose the same value
-    sets — and the revise refutes immediately (returns [false]) when the
-    tightened root no longer meets [target].  The affine pass runs inside
-    the [icp.affine] telemetry span and feeds the [affine.tightenings] /
-    [affine.refutations] counters.  With [~affine:false] the result is
-    bit-for-bit the pre-affine behaviour.
-
-    With [~tm:true] (default [false]) the Taylor-model walker is
-    intersected the same way after the affine pass (skipped entirely
-    when the affine pass already refuted), inside the [icp.tm] span
-    with the [tm.tightenings] / [tm.refutations] counters and the
-    [tm-refute] journal prune reason.  With [~tm:false] the TM walker
-    never runs, restoring the pre-TM search bit-for-bit.
+    With [~tm:true] (default [false]) the forward enclosures are first
+    intersected slot-by-slot with the Taylor-model walker's concretized
+    ranges — a sound tightening, since both passes enclose the same
+    value sets — and the revise refutes immediately (returns [false])
+    when the tightened root no longer meets [target].  The pass runs
+    inside the [icp.tm] span with the [tm.tightenings] /
+    [tm.refutations] counters and the [tm-refute] journal prune reason.
+    With [~tm:false] the TM walker never runs: plain interval HC4.
 
     Matches the tree-walking [Icp.Contractor.revise] exactly when
     {!interior_sharing} is [0]; shared interior slots accumulate

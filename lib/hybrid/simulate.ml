@@ -13,6 +13,9 @@
 
 module F = Expr.Formula
 
+let tm_simulate = Telemetry.Span.probe "hybrid.simulate"
+let m_segments = Telemetry.Counter.make "hybrid.segments"
+
 type segment = {
   seg_mode : string;
   t_global : float;  (** global time when this mode was entered *)
@@ -70,6 +73,7 @@ let sample traj x ~n =
 let simulate ?(method_ = Ode.Integrate.default_rkf45) ?(max_jumps = 50)
     ?(event_tol = 1e-9) ?(zeno_dwell = 1e-9) ?(zeno_limit = 8) ~params ~init ~t_end
     (h : Automaton.t) =
+  Telemetry.Span.with_ tm_simulate @@ fun () ->
   let vars = Automaton.vars h in
   List.iter
     (fun p ->
@@ -93,6 +97,7 @@ let simulate ?(method_ = Ode.Integrate.default_rkf45) ?(max_jumps = 50)
       Ode.Integrate.simulate_until ~method_ ~tol:event_tol ~params ~init:init_env
         ~t_end:budget ~guard:stop_formula sys
     in
+    Telemetry.Counter.incr m_segments;
     let segment = { seg_mode = mode_name; t_global; trace } in
     let segments = segment :: segments in
     let finish reason final_y final_t =

@@ -45,7 +45,9 @@ val simulate :
   Automaton.t ->
   trajectory
 (** Simulate from the automaton's initial box midpoint; entries in [init]
-    override individual initial values.
+    override individual initial values.  Runs inside the
+    [hybrid.simulate] telemetry span and counts one [hybrid.segments]
+    per mode visit.
     @raise Invalid_argument on an unbound parameter. *)
 
 val simulate_default :

@@ -308,7 +308,7 @@ let compile constraints =
   { cvars = Array.of_list vars; ctapes; ws_key }
 
 let fixpoint_compiled ?(tol = default_tol) ?(max_rounds = default_max_rounds)
-    ?(affine = false) ?(tm = false) cs box =
+    ?(tm = false) cs box =
   let n = Array.length cs.cvars in
   let ws = Domain.DLS.get cs.ws_key in
   let dom = ws.dom and present = ws.present in
@@ -333,8 +333,7 @@ let fixpoint_compiled ?(tol = default_tol) ?(max_rounds = default_max_rounds)
     while !ok && !k < m do
       let tp, target = cs.ctapes.(!k) in
       ok :=
-        Expr.Tape.hc4_revise tp scratches.(!k) ~affine ~tm ~mask:present
-          ~target dom;
+        Expr.Tape.hc4_revise tp scratches.(!k) ~tm ~mask:present ~target dom;
       incr k
     done;
     !ok
@@ -406,19 +405,17 @@ let hc4_cache : Box.t option Cache.t = Cache.create ~group_capacity:1024 "hc4"
    share across worker domains (tapes are immutable; scratch is
    per-domain via Domain.DLS; the cache shards are mutex-guarded). *)
 let contractor ?tol ?max_rounds ?(tm = false) constraints =
-  (* The affine flag is sampled at build time so the closure and its
-     cache group stay consistent.  The Taylor-model pass is opt-in per
-     call site ([?tm], default off): only pave asks for it. *)
-  let affine = Interval.Affine.enabled () in
+  (* Plain interval HC4; the Taylor-model pass is opt-in per call site
+     ([?tm], default off): only pave asks for it. *)
   let base =
     let cs = compile constraints in
-    fun box -> fixpoint_compiled ?tol ?max_rounds ~affine ~tm cs box
+    fun box -> fixpoint_compiled ?tol ?max_rounds ~tm cs box
   in
   (* Derivative layer (mean-value refutation + interval Newton), run
      after the HC4 fixpoint; when Newton contracts the box, one more
      fixpoint round lets HC4 exploit the tightened components.  The
-     flag is sampled at build time — like [affine] — so the closure and
-     its cache group stay consistent for their whole lifetime. *)
+     flag is sampled at build time so the closure and its cache group
+     stay consistent for their whole lifetime. *)
   let newton =
     if Deriv.enabled () then
       Deriv.compile (List.map (fun c -> (c.term, c.target)) constraints)
@@ -448,11 +445,10 @@ let contractor ?tol ?max_rounds ?(tm = false) constraints =
     (* The newton flag keys the group too: Newton-contracted results
        must never replay into a Newton-off run (and vice versa), or the
        kill-switch would no longer reproduce the HC4-only search. *)
-    Printf.sprintf "hc4|%s|%h|%d|%b|%b|%b" (fingerprint constraints)
+    Printf.sprintf "hc4|%s|%h|%d|%b|%b" (fingerprint constraints)
       (Option.value tol ~default:default_tol)
       (Option.value max_rounds ~default:default_max_rounds)
-      (Option.is_some newton)
-      affine tm
+      (Option.is_some newton) tm
   in
   let cached box =
     if not (Cache.enabled ()) then base box

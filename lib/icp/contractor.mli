@@ -54,15 +54,13 @@ val compile : constr list -> compiled
 val fixpoint_compiled :
   ?tol:float ->
   ?max_rounds:int ->
-  ?affine:bool ->
   ?tm:bool ->
   compiled ->
   Interval.Box.t ->
   Interval.Box.t option
-(** [?affine] / [?tm] (default [false]) thread the affine- and
-    Taylor-model-tightened forward passes into every HC4 revise (see
-    {!Expr.Tape.hc4_revise}); sound either way, possibly tighter with
-    them on. *)
+(** [?tm] (default [false]) threads the Taylor-model-tightened forward
+    pass into every HC4 revise (see {!Expr.Tape.hc4_revise}); sound
+    either way, possibly tighter with it on. *)
 
 val contractor :
   ?tol:float ->

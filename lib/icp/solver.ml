@@ -59,10 +59,11 @@ let jbounds b =
     (List.map (fun (x, i) -> (x, I.lo i, I.hi i)) (Box.to_list b))
 
 (* "tm" records whether the run evaluates Taylor models (the caller's
-   [tm]: only pave does). *)
+   [tm]: only pave does); "affine_budget" is the cap on their monomial
+   families.  No affine flag: the search runs HC4 on plain intervals
+   whatever the affine switch says. *)
 let journal_flags ~tm jobs =
   [ ("newton", string_of_bool (Deriv.enabled ()));
-    ("affine", string_of_bool (Interval.Affine.enabled ()));
     ("affine_budget", string_of_int (Interval.Affine.budget ()));
     ("tm", string_of_bool tm);
     ("cache", string_of_bool (Cache.enabled ()));
@@ -212,16 +213,14 @@ let refuted_group cfg atoms =
     let constraints = List.map (Contractor.of_atom ~delta:cfg.delta) atoms in
     let rels = rels_key atoms in
     Some
-      (Printf.sprintf "prune|%s|%s|%h|%d|%b|%b|%b"
+      (Printf.sprintf "prune|%s|%s|%h|%d|%b|%b"
          (Contractor.fingerprint constraints) rels
          cfg.delta cfg.contractor_rounds cfg.use_contraction
          (* Newton-era refutations are still proofs, but replaying them
             into a BIOMC_NO_NEWTON=1 run would change that run's search
             trajectory — the kill-switch must reproduce the HC4-only
-            search exactly, so the two populations stay separate.  Same
-            story for the affine flag below. *)
-         (Deriv.enabled ())
-         (Interval.Affine.enabled ()))
+            search exactly, so the two populations stay separate. *)
+         (Deriv.enabled ()))
 
 (* Per-query gradient system for smear-guided branching (and, through
    [Contractor.contractor], the Newton contraction).  [None] when the
@@ -623,11 +622,10 @@ let pave_group cfg formula =
   if not (Cache.enabled ()) then None
   else
     Some
-      (Printf.sprintf "pave|%s|%b|%b|%b|%b"
+      (Printf.sprintf "pave|%s|%b|%b|%b"
          (Digest.to_hex (Digest.string (Expr.Formula.fingerprint formula)))
          cfg.use_contraction
          (Deriv.enabled ())
-         (Interval.Affine.enabled ())
          (Interval.Tm.enabled ()))
 
 (* ---- Enclosure-assisted sat-certification ----
@@ -635,26 +633,22 @@ let pave_group cfg formula =
    [Formula.eval_cert] classifies boxes with plain interval evaluation
    of each atom, so a feasible band box only certifies once bisection
    has shrunk the interval overestimate below the band's slack — on
-   dependency-rich atoms that is exactly the overestimate the affine
-   and Taylor-model walkers remove.  Build a per-query atom certifier
-   that re-evaluates Unknown atoms through the tape's enclosure passes
-   and intersects the ranges before the zero test; sound because every
-   pass encloses the atom's true value set on the box.
+   dependency-rich atoms that is exactly the overestimate the
+   Taylor-model walker removes.  Build a per-query atom certifier that
+   re-evaluates Unknown atoms through the tape's TM pass and intersects
+   the ranges before the zero test; sound because both passes enclose
+   the atom's true value set on the box.
 
    The certifier belongs to the Taylor-model layer: it is built only
    when that layer is live (so [BIOMC_NO_TM=1]/[--no-tm] restores the
    plain {!Expr.Formula.eval_cert} classifier — and with it the
-   pre-Taylor-model pave — bit for bit), and the affine pass inside it
-   rides along only when the affine layer is also on.  Returns [None]
-   when disabled.
+   interval-only pave — bit for bit).  Returns [None] when disabled.
 
    One single-root tape per distinct atom term, shared by fingerprint;
    scratch is per-domain (Domain.DLS), so the returned certifier may be
    called from parallel worker domains. *)
 let enclosure_atom_cert ~tm formula =
-  let use_tm = tm && Interval.Tm.enabled () in
-  let use_aff = use_tm && Interval.Affine.enabled () in
-  if not use_tm then None
+  if not (tm && Interval.Tm.enabled ()) then None
   else begin
     let key (t : Expr.Term.t) =
       let b = Buffer.create 64 in
@@ -704,25 +698,17 @@ let enclosure_atom_cert ~tm formula =
                 in
                 let sc = Expr.Tape.dls_scratch tp in
                 let out = Array.make 1 I.empty in
-                let r = ref (Expr.Term.eval_interval box a.term) in
-                let intersect () =
-                  let w = I.inter !r out.(0) in
-                  if not (I.equal w !r) then begin
-                    r := w;
-                    true
-                  end
-                  else false
+                let r = Expr.Term.eval_interval box a.term in
+                let r =
+                  if I.is_empty r then r
+                  else
+                    Interval.Tm.with_span (fun () ->
+                        Expr.Tape.eval_tm_into tp sc ~inputs ~out;
+                        let w = I.inter r out.(0) in
+                        if not (I.equal w r) then Interval.Tm.note_tightening ();
+                        w)
                 in
-                if use_aff then
-                  Interval.Affine.with_span (fun () ->
-                      Expr.Tape.eval_affine_into tp sc ~inputs ~out;
-                      if intersect () then
-                        Interval.Affine.note_tightening ());
-                if use_tm && not (I.is_empty !r) then
-                  Interval.Tm.with_span (fun () ->
-                      Expr.Tape.eval_tm_into tp sc ~inputs ~out;
-                      if intersect () then Interval.Tm.note_tightening ());
-                verdict_of !r a.rel))
+                verdict_of r a.rel))
   end
 
 (* The box classifier used by the paving loops: [eval_cert] with the

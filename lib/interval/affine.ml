@@ -14,13 +14,9 @@ module I = Ia
 module R = Round
 
 let tm_affine = Telemetry.Span.probe "icp.affine"
-let m_refutations = Telemetry.Counter.make ~always:true "affine.refutations"
 let m_tightenings = Telemetry.Counter.make ~always:true "affine.tightenings"
 let m_condensations = Telemetry.Counter.make ~always:true "affine.condensations"
 
-let note_refutation () =
-  Telemetry.Counter.incr m_refutations;
-  if Journal.on () then Journal.set_reason "affine-refute"
 let note_tightening () = Telemetry.Counter.incr m_tightenings
 let with_span f = Telemetry.Span.with_ tm_affine f
 

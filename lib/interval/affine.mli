@@ -42,12 +42,14 @@ type t
 
 (** {1 Enable/disable switch}
 
-    The switch gates the affine-powered solver paths (tightened HC4
-    forward passes, ODE enclosure intersection), not this module's
-    arithmetic: operations work regardless.  [BIOMC_NO_AFFINE=1] (or
-    [true]/[yes]) disables the affine layer; {!set_enabled} overrides
-    the environment (CLI [--no-affine], benchmarks, differential
-    tests). *)
+    The switch gates the one affine-powered path, the ODE field
+    evaluation in [Ode.Enclosure] (affine range intersected into the
+    interval one), not this module's arithmetic: operations work
+    regardless.  HC4 and the pave certifier never evaluate affine
+    forms, so the switch does not reach decide or pave.
+    [BIOMC_NO_AFFINE=1] (or [true]/[yes]) disables the pass;
+    {!set_enabled} overrides the environment (CLI [--no-affine],
+    benchmarks, differential tests). *)
 
 val enabled : unit -> bool
 val set_enabled : bool -> unit
@@ -135,15 +137,12 @@ val max_ : t -> t -> t
 (** {1 Telemetry}
 
     Counters live in the process-wide telemetry registry (created
-    always-on, like the cache statistics): [affine.refutations] — boxes
-    refuted because an affine range missed a constraint target;
-    [affine.tightenings] — evaluations where the affine range strictly
-    tightened an interval enclosure; [affine.condensations] — noise
-    budget condensations.  The first two are incremented by the solver
-    layers through {!note_refutation}/{!note_tightening}; condensations
-    are counted here.  {!with_span} wraps affine evaluation passes in
-    the [icp.affine] trace span. *)
+    always-on, like the cache statistics): [affine.tightenings] —
+    evaluations where the affine range strictly tightened an interval
+    enclosure, incremented by the ODE field pass through
+    {!note_tightening}; [affine.condensations] — noise budget
+    condensations, counted here.  {!with_span} wraps affine evaluation
+    passes in the [icp.affine] trace span. *)
 
-val note_refutation : unit -> unit
 val note_tightening : unit -> unit
 val with_span : (unit -> 'a) -> 'a

@@ -892,7 +892,6 @@ let audit f =
               in
               (match reason with
               | "newton" | "mean-value" -> requires "newton"
-              | "affine-refute" -> requires "affine"
               | "tm-refute" -> requires "tm"
               | "cache-replay" -> requires "cache"
               | _ -> ()))

@@ -1,10 +1,8 @@
 (* Differential tests for the affine-arithmetic layer (Interval.Affine
    and its wiring): affine ranges vs true (sampled) values, the affine
-   tape walker vs the interval walker, condensation soundness, the
-   affine-tightened HC4 revise, affine-on vs affine-off search
-   agreement, and the kill-switch guarantee that BIOMC_NO_AFFINE
-   reproduces the interval-only search bit for bit (including its cache
-   interactions). *)
+   tape walker vs the interval walker, condensation soundness, and the
+   call-site policy: the ODE field is the one place the switch reaches,
+   so decide and pave are identical under either switch state. *)
 
 module I = Interval.Ia
 module A = Interval.Affine
@@ -73,15 +71,6 @@ let rand_point st b =
     (fun (v, itv) ->
       (v, I.lo itv +. (Random.State.float st 1.0 *. I.width itv)))
     (Box.to_list b)
-
-let rand_target st =
-  match Random.State.int st 4 with
-  | 0 -> I.of_float (Random.State.float st 4.0 -. 2.0)
-  | 1 -> I.make (Random.State.float st 2.0 -. 2.0) (Random.State.float st 2.0)
-  | 2 -> I.make (Random.State.float st 4.0 -. 2.0) Float.infinity
-  | _ ->
-      let a = Random.State.float st 6.0 -. 3.0 in
-      I.make a (a +. Random.State.float st 1.0)
 
 let inputs_of_box b =
   Array.of_list (List.map (fun v -> Box.find v b) vars)
@@ -220,97 +209,32 @@ let test_budget_soundness () =
   Alcotest.(check bool) "condensations fired" true
     (Telemetry.Counter.value cond > before)
 
-(* ---- affine-tightened HC4 revise ---- *)
-
-let robustly_in value target =
-  Float.is_finite value
-  && (not (I.is_empty target))
-  &&
-  let m = 1e-6 *. Float.max 1.0 (Float.abs value) in
-  value >= I.lo target +. m && value <= I.hi target -. m
-
-(* The tightened forward pass must never lose a witness: any sampled
-   point robustly satisfying the constraint survives the contraction,
-   and a plain-interval refutation is never un-refuted by the affine
-   pass (its slots are subsets of the plain ones). *)
-let test_hc4_affine_witnesses () =
-  let st = Random.State.make [| 63 |] in
-  let witnessed = ref 0 in
-  for case = 1 to 1_000 do
-    let t = rand_smooth st (1 + Random.State.int st 3) in
-    let target = rand_target st in
-    let b = rand_box st in
-    let tp = Tape.compile ~vars [ t ] in
-    let sc = Tape.scratch tp in
-    let witnesses =
-      List.filter_map
-        (fun _ ->
-          let pt = rand_point st b in
-          let v = try T.eval_env pt t with _ -> nan in
-          if robustly_in v target then Some pt else None)
-        (List.init 20 Fun.id)
-    in
-    let dom_plain = inputs_of_box b in
-    let ok_plain = Tape.hc4_revise tp sc ~target dom_plain in
-    let dom_aff = inputs_of_box b in
-    let ok_aff = Tape.hc4_revise tp sc ~affine:true ~target dom_aff in
-    if (not ok_plain) && ok_aff then
-      Alcotest.failf "case %d: affine pass un-refuted %s ∈ %s" case
-        (T.to_string t) (I.to_string target);
-    List.iter
-      (fun pt ->
-        incr witnessed;
-        if not ok_aff then
-          Alcotest.failf "case %d: affine revise refuted a witness of %s" case
-            (T.to_string t);
-        List.iteri
-          (fun i v ->
-            let x = List.assoc v pt in
-            if not (I.mem x (I.inflate 1e-9 dom_aff.(i))) then
-              Alcotest.failf "case %d: witness %s=%.17g contracted away (%s)"
-                case v x
-                (I.to_string dom_aff.(i)))
-          vars)
-      witnesses
-  done;
-  if !witnessed < 300 then
-    Alcotest.failf "only %d witnesses checked — generator drifted" !witnessed
-
-(* The canonical refutation interval arithmetic cannot make: x - x is
-   pinned to (near) zero by shared noise symbols, so a target away from
-   zero dies in the affine forward pass — and the refutation counter
-   ticks. *)
-let test_hc4_affine_refutes_cancellation () =
-  let refs = Telemetry.Counter.make ~always:true "affine.refutations" in
-  let t = P.term "x - x" in
-  let tp = Tape.compile ~vars:[ "x" ] [ t ] in
-  let sc = Tape.scratch tp in
-  let target = I.make 0.5 1.0 in
-  let dom () = [| I.make 0.0 4.0 |] in
-  Alcotest.(check bool) "plain HC4 cannot refute" true
-    (Tape.hc4_revise tp sc ~target (dom ()));
-  let before = Telemetry.Counter.value refs in
-  Alcotest.(check bool) "affine pass refutes" false
-    (Tape.hc4_revise tp sc ~affine:true ~target (dom ()));
-  Alcotest.(check bool) "refutation counted" true
-    (Telemetry.Counter.value refs > before)
-
-(* ---- affine on vs off: decide and pave agreement ---- *)
+(* ---- call-site policy: affine only in the ODE field ---- *)
 
 let with_affine flag f =
   A.set_enabled flag;
   Fun.protect ~finally:A.clear_enabled_override f
+
+let with_cache_off f =
+  Cache.set_policy Cache.Off;
+  Fun.protect ~finally:Cache.clear_policy_override f
+
+let with_metrics f =
+  let metrics = Telemetry.metrics_on () in
+  Telemetry.set_metrics true;
+  Fun.protect ~finally:(fun () -> Telemetry.set_metrics metrics) f
 
 let verdict_kind = function
   | S.Delta_sat _ -> "delta-sat"
   | S.Unsat -> "unsat"
   | S.Unknown _ -> "unknown"
 
+let stats_tuple (s : S.stats) =
+  (s.S.boxes_processed, s.S.splits, s.S.prunings, s.S.max_depth,
+   s.S.certifications)
+
 let box l = Box.of_list (List.map (fun (x, lo, hi) -> (x, I.make lo hi)) l)
 
-(* Workloads kept away from the δ-boundary so both searches reach the
-   same verdict kind (at the boundary, Unsat and Delta_sat are both
-   δ-correct answers and the comparison would be meaningless). *)
 let decide_cases =
   [ ("sqrt2", "x^2 = 2", box [ ("x", 0.0, 2.0) ]);
     ( "geom-unsat",
@@ -328,109 +252,111 @@ let decide_cases =
       "x^2 + y^2 = 1 and x*y = 1/2",
       box [ ("x", 0.0, 2.0); ("y", 0.0, 2.0) ] ) ]
 
-let test_decide_on_vs_off () =
-  List.iter
-    (fun (name, fs, bx) ->
-      let f = P.formula fs in
-      List.iter
-        (fun jobs ->
-          let config = { S.default_config with jobs } in
-          let on =
-            with_affine true (fun () -> verdict_kind (S.decide ~config f bx))
-          in
-          let off =
-            with_affine false (fun () -> verdict_kind (S.decide ~config f bx))
-          in
-          Alcotest.(check string)
-            (Printf.sprintf "%s at jobs=%d" name jobs)
-            off on)
-        [ 1; 2 ])
-    decide_cases
-
-(* Paving on vs off: leaf sets legitimately differ (the affine pass
-   changes contraction trajectories), but both are proofs over the same
-   box, so a sat leaf of one run may never share volume with an unsat
-   leaf of the other; feasibility must agree; and the affine paving must
-   be identical between jobs=1 and jobs=2. *)
-let test_pave_on_vs_off () =
-  let f =
-    P.formula
+(* A dependency-rich impulse-response fit and an annulus band: pave
+   runs the Taylor-model certifier and contractor on both, and neither
+   may consult the affine switch. *)
+let pave_cases =
+  [ ( "impulse-fit",
       "a*k*exp(-k) >= 0.3 and a*k*exp(-k) <= 0.5 and \
-       3*a*k*exp(-3*k) >= 0.1 and 3*a*k*exp(-3*k) <= 0.3"
-  in
-  let bx = box [ ("k", 0.05, 2.5); ("a", 0.2, 3.0) ] in
-  let config jobs = { S.default_config with S.epsilon = 0.05; jobs } in
-  let p_on = with_affine true (fun () -> S.pave ~config:(config 1) f bx) in
-  let p_off = with_affine false (fun () -> S.pave ~config:(config 1) f bx) in
-  let contradicts sats unsats =
-    List.exists
-      (fun s -> List.exists (fun u -> Box.volume (Box.inter s u) > 0.0) unsats)
-      sats
-  in
-  Alcotest.(check bool) "no sat(on)/unsat(off) contradiction" false
-    (contradicts p_on.S.sat p_off.S.unsat);
-  Alcotest.(check bool) "no sat(off)/unsat(on) contradiction" false
-    (contradicts p_off.S.sat p_on.S.unsat);
-  Alcotest.(check bool) "feasibility agrees"
-    (p_off.S.sat <> []) (p_on.S.sat <> []);
+       3*a*k*exp(-3*k) >= 0.1 and 3*a*k*exp(-3*k) <= 0.3",
+      box [ ("k", 0.05, 2.5); ("a", 0.2, 3.0) ] );
+    ( "annulus",
+      "x^2 + y^2 <= 1 and x^2 + y^2 >= 1/2",
+      box [ ("x", -1.5, 1.5); ("y", -1.5, 1.5) ] ) ]
+
+let sorted_leaves (p : S.paving) =
   let sort = List.sort (fun a b -> compare (Box.to_list a) (Box.to_list b)) in
-  let p_on2 = with_affine true (fun () -> S.pave ~config:(config 2) f bx) in
+  (sort p.S.sat, sort p.S.unsat, sort p.S.undecided)
+
+let same_leaves (s, u, d) (s', u', d') =
+  List.equal Box.equal s s' && List.equal Box.equal u u'
+  && List.equal Box.equal d d'
+
+(* jobs > 1 on real domains schedules the frontier nondeterministically,
+   so a decide's stats can differ between two runs of the same search;
+   on the sequential drive (domain cap 1) the jobs=2 schedule is fixed. *)
+let with_sequential_drive f =
+  let saved = Parallel.Pool.domain_cap () in
+  Parallel.Pool.set_domain_cap (Some 1);
+  Fun.protect ~finally:(fun () -> Parallel.Pool.set_domain_cap (Some saved)) f
+
+(* The strict pin: with the caches off (so neither run can replay the
+   other's results) every decide case at jobs 1 and 2 and every pave
+   case returns the same verdict, the same stats and the same leaves
+   with the affine switch on and off. *)
+let test_search_ignores_affine () =
+  with_cache_off @@ fun () ->
+  with_sequential_drive @@ fun () ->
   List.iter
-    (fun (label, l, l') ->
-      Alcotest.(check bool)
-        (Printf.sprintf "%s leaves equal at jobs=2" label)
-        true
-        (List.equal Box.equal (sort l) (sort l')))
-    [ ("sat", p_on.S.sat, p_on2.S.sat);
-      ("unsat", p_on.S.unsat, p_on2.S.unsat);
-      ("undecided", p_on.S.undecided, p_on2.S.undecided) ]
+    (fun jobs ->
+      List.iter
+        (fun (name, fs, bx) ->
+          let f = P.formula fs in
+          let config = { S.default_config with jobs } in
+          let run on =
+            with_affine on (fun () ->
+                let r, stats = S.decide_with_stats ~config f bx in
+                (verdict_kind r, stats_tuple stats))
+          in
+          let v_on, s_on = run true in
+          let v_off, s_off = run false in
+          let what = Printf.sprintf "%s at jobs=%d" name jobs in
+          Alcotest.(check string) (what ^ ": verdict") v_off v_on;
+          Alcotest.(check bool) (what ^ ": stats") true (s_on = s_off))
+        decide_cases;
+      List.iter
+        (fun (name, fs, bx) ->
+          let f = P.formula fs in
+          let config = { S.default_config with S.epsilon = 0.05; jobs } in
+          let run on =
+            with_affine on (fun () ->
+                let p, stats = S.pave_with_stats ~config f bx in
+                (sorted_leaves p, stats_tuple stats))
+          in
+          let l_on, s_on = run true in
+          let l_off, s_off = run false in
+          let what = Printf.sprintf "pave %s at jobs=%d" name jobs in
+          Alcotest.(check bool) (what ^ ": stats") true (s_on = s_off);
+          Alcotest.(check bool) (what ^ ": leaves") true
+            (same_leaves l_on l_off))
+        pave_cases)
+    [ 1; 2 ]
 
-(* ---- the kill-switch: BIOMC_NO_AFFINE reproduces the old search ---- *)
+let affine_span_count () =
+  match List.assoc_opt "icp.affine" (Telemetry.Metrics.histograms ()) with
+  | Some s -> s.Telemetry.Histogram.count
+  | None -> 0
 
-(* Off-run, on-run, off-run again — with the caches at their default
-   policy.  The second off-run must match the first in verdict kind AND
-   in every stats field: any divergence would mean affine-era cache
-   entries (HC4 fixpoints, refuted boxes, paving verdicts, flow tubes)
-   leaked into the disabled search. *)
-let stats_tuple (s : S.stats) =
-  (s.S.boxes_processed, s.S.splits, s.S.prunings, s.S.max_depth,
-   s.S.certifications)
-
-let test_killswitch_decide_bitforbit () =
-  List.iter
-    (fun (name, fs, bx) ->
-      let f = P.formula fs in
-      let run on =
-        with_affine on (fun () ->
-            let r, stats = S.decide_with_stats f bx in
-            (verdict_kind r, stats_tuple stats))
-      in
-      let v1, s1 = run false in
-      let _ = run true in
-      let v2, s2 = run false in
-      Alcotest.(check string) (name ^ ": off verdict reproduced") v1 v2;
-      Alcotest.(check bool)
-        (name ^ ": off stats reproduced (no cache leakage)") true (s1 = s2))
-    decide_cases
-
-let test_killswitch_pave_bitforbit () =
-  let f = P.formula "x^2 + y^2 <= 1 and x^2 + y^2 >= 1/2" in
-  let bx = box [ ("x", -1.5, 1.5); ("y", -1.5, 1.5) ] in
+(* With the switch on, a default decide and a default pave enter no
+   affine pass (the icp.affine span does not advance), while a flow of
+   the logistic equation still tightens its field with affine forms. *)
+let test_affine_only_in_flows () =
+  with_metrics @@ fun () ->
+  with_cache_off @@ fun () ->
+  with_affine true @@ fun () ->
+  let before = affine_span_count () in
+  List.iter (fun (_, fs, bx) -> ignore (S.decide (P.formula fs) bx)) decide_cases;
+  Alcotest.(check int) "icp.affine spans during decide" before
+    (affine_span_count ());
   let config = { S.default_config with S.epsilon = 0.05 } in
-  let run on = with_affine on (fun () -> S.pave ~config f bx) in
-  let sort = List.sort (fun a b -> compare (Box.to_list a) (Box.to_list b)) in
-  let p1 = run false in
-  let _ = run true in
-  let p2 = run false in
   List.iter
-    (fun (label, l, l') ->
-      Alcotest.(check bool)
-        (Printf.sprintf "off %s leaves reproduced" label)
-        true
-        (List.equal Box.equal (sort l) (sort l')))
-    [ ("sat", p1.S.sat, p2.S.sat);
-      ("unsat", p1.S.unsat, p2.S.unsat);
-      ("undecided", p1.S.undecided, p2.S.undecided) ]
+    (fun (_, fs, bx) -> ignore (S.pave ~config (P.formula fs) bx))
+    pave_cases;
+  Alcotest.(check int) "icp.affine spans during pave" before
+    (affine_span_count ());
+  let tightenings = Telemetry.Counter.make ~always:true "affine.tightenings" in
+  let t0 = Telemetry.Counter.value tightenings in
+  let sys =
+    Ode.System.of_strings ~vars:[ "x" ] ~params:[] ~rhs:[ ("x", "x*(1 - x)") ]
+  in
+  ignore
+    (Ode.Enclosure.flow ~params:Box.empty_map
+       ~init:(box [ ("x", 0.2, 0.35) ])
+       ~t_end:2.0 sys);
+  Alcotest.(check bool) "flow advances affine.tightenings" true
+    (Telemetry.Counter.value tightenings > t0);
+  Alcotest.(check bool) "flow enters the icp.affine span" true
+    (affine_span_count () > before)
 
 let () =
   Alcotest.run "affine"
@@ -444,18 +370,8 @@ let () =
             test_condense_encloses;
           Alcotest.test_case "tiny budget stays sound" `Quick
             test_budget_soundness ] );
-      ( "hc4",
-        [ Alcotest.test_case "never loses a witness" `Quick
-            test_hc4_affine_witnesses;
-          Alcotest.test_case "refutes x-x dependency" `Quick
-            test_hc4_affine_refutes_cancellation ] );
-      ( "search",
-        [ Alcotest.test_case "decide on vs off (jobs 1, 2)" `Quick
-            test_decide_on_vs_off;
-          Alcotest.test_case "pave on vs off consistency" `Quick
-            test_pave_on_vs_off ] );
-      ( "kill-switch",
-        [ Alcotest.test_case "decide off-run reproduced" `Quick
-            test_killswitch_decide_bitforbit;
-          Alcotest.test_case "pave off-run reproduced" `Quick
-            test_killswitch_pave_bitforbit ] ) ]
+      ( "policy",
+        [ Alcotest.test_case "decide, pave ignore switch" `Quick
+            test_search_ignores_affine;
+          Alcotest.test_case "affine runs only in ODE flows" `Quick
+            test_affine_only_in_flows ] ) ]

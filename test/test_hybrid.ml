@@ -263,6 +263,25 @@ let test_value_at_and_sample () =
   let samples = S.sample traj "h" ~n:11 in
   Alcotest.(check int) "sample count" 11 (List.length samples)
 
+(* Under --metrics a simulation is one hybrid.simulate span, and
+   hybrid.segments counts its mode visits. *)
+let test_simulate_telemetry () =
+  let metrics = Telemetry.metrics_on () in
+  Telemetry.set_metrics true;
+  Fun.protect ~finally:(fun () -> Telemetry.set_metrics metrics) @@ fun () ->
+  let spans () =
+    match List.assoc_opt "hybrid.simulate" (Telemetry.Metrics.histograms ()) with
+    | Some h -> h.Telemetry.Histogram.count
+    | None -> 0
+  in
+  let segments = Telemetry.Counter.make "hybrid.segments" in
+  let spans0 = spans () and segs0 = Telemetry.Counter.value segments in
+  let traj = S.simulate ~params:[ ("g", 9.8) ] ~init:[] ~t_end:2.0 (ball ()) in
+  Alcotest.(check int) "one span" (spans0 + 1) (spans ());
+  Alcotest.(check int) "one count per mode visit"
+    (segs0 + List.length traj.S.segments)
+    (Telemetry.Counter.value segments)
+
 let () =
   Alcotest.run "hybrid"
     [
@@ -291,5 +310,6 @@ let () =
           Alcotest.test_case "missing param" `Quick test_missing_param;
           Alcotest.test_case "zeno detection" `Quick test_zeno_detection;
           Alcotest.test_case "value_at and sample" `Quick test_value_at_and_sample;
+          Alcotest.test_case "span and segment count" `Quick test_simulate_telemetry;
         ] );
     ]

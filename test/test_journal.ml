@@ -148,6 +148,12 @@ let test_explain_decide () =
   check_audit forest;
   let run = the_run forest in
   check_tm_flag run false;
+  (* Decide never evaluates affine forms: no affine flag, but the
+     budget that caps Taylor-model families stays in the header. *)
+  Alcotest.(check (option string)) "decide run has no affine flag" None
+    (List.assoc_opt "affine" run.J.flags);
+  Alcotest.(check bool) "decide run records affine_budget" true
+    (List.mem_assoc "affine_budget" run.J.flags);
   Alcotest.(check (option string)) "verdict" (Some "delta-sat") run.J.verdict;
   Alcotest.(check bool) "conclusive run is not truncated" false run.J.truncated;
   let sats =
@@ -192,6 +198,10 @@ let test_explain_reach () =
   let run = the_run forest in
   Alcotest.(check string) "kind" "reach" run.J.kind;
   check_tm_flag run false;
+  (* Reach flows still evaluate the field affinely. *)
+  Alcotest.(check (option string)) "reach run keeps the affine flag"
+    (Some (string_of_bool (Interval.Affine.enabled ())))
+    (List.assoc_opt "affine" run.J.flags);
   Alcotest.(check (option string)) "verdict" (Some "delta-sat") run.J.verdict;
   let has_seg =
     List.exists
