@@ -7,7 +7,7 @@
    volumes, probabilities).  Absolute numbers are machine-dependent; the
    *shapes* (who wins, where verdicts flip) are the reproduction targets.
 
-   Measured sections (P1, C1, O1, J1, N1, AF1, TM1): workloads run under
+   Measured sections (P1, C1, O1, J1, N1, AF1): workloads run under
    several configs (jobs values, a layer switch off vs on, a sink off vs
    on) on one harness ([measure]), with the answers checked to agree
    across configs in-process, and one writer ([write_json]) emitting
@@ -482,7 +482,7 @@ let a4 () =
       Report.table ~header:[ "samples"; "verdict"; "time" ] rows ]
 
 (* ------------------------------------------------------------------ *)
-(* The measurement harness of P1, C1, O1, J1, N1, AF1 and TM1          *)
+(* The measurement harness of P1, C1, O1, J1, N1 and AF1              *)
 (* ------------------------------------------------------------------ *)
 
 (* Every measured section has one shape: workloads × configs → records.
@@ -1355,13 +1355,13 @@ let j1 ?(quick = false) () =
     records
 
 (* ------------------------------------------------------------------ *)
-(* N1 / TM1: search layers off vs on; AF1: the affine ODE field       *)
+(* N1: the derivative layer off vs on; AF1: the affine ODE field      *)
 (* ------------------------------------------------------------------ *)
 
-(* Dependency-rich decide and pave workloads shared by the two search
-   layer ablations — terms where variables occur repeatedly, so the
-   natural interval extension is loose and a first-order expansion or
-   a Taylor model has something to win. *)
+(* Dependency-rich decide and pave workloads of the derivative-layer
+   ablation — terms where variables occur repeatedly, so the natural
+   interval extension is loose and a first-order expansion has
+   something to win. *)
 let layer_workloads ~quick =
   let dcfg =
     { Icp.Solver.default_config with
@@ -1396,19 +1396,7 @@ let layer_workloads ~quick =
     ( "pave-impulse-fit", `Pave pcfg,
       "a*k*exp(-k) >= 0.3 and a*k*exp(-k) <= 0.5 and \
        3*a*k*exp(-3*k) >= 0.1 and 3*a*k*exp(-3*k) <= 0.3",
-      box [ ("k", 0.05, 2.5); ("a", 0.2, 3.0) ] );
-    (* A band paving where every atom mentions its variable thrice: split
-       to ε along its boundary and sat-certified by interval evaluation,
-       which the Taylor-model certifier tightens. *)
-    ( "pave-cubic-band", `Pave pcfg,
-      "x^3 - 2*x^2 + 1.25*x >= 0.2 and x^3 - 2*x^2 + 1.25*x <= 0.3 and \
-       y^3 - 2*y^2 + 1.25*y >= 0.2 and y^3 - 2*y^2 + 1.25*y <= 0.3",
-      box [ ("x", 0.0, 2.0); ("y", 0.0, 2.0) ] );
-    (* Unsat-carving paving: the MM demand is infeasible over the whole
-       simplex, so the box count is pure refutation work. *)
-    ( "pave-mm-infeasible", `Pave pcfg,
-      "1.2*s1/(0.4 + s1) + 1.2*s2/(0.4 + s2) >= 1.35 and s1 + s2 <= 1",
-      box [ ("s1", 0.0, 1.0); ("s2", 0.0, 1.0) ] ) ]
+      box [ ("k", 0.05, 2.5); ("a", 0.2, 3.0) ] ) ]
 
 (* The one contradiction check of the layer ablations.  Two pavings of
    the same box are proofs: a sat leaf of one sharing volume with an
@@ -1433,44 +1421,40 @@ let pavings_agree formula (a : Icp.Solver.paving) (b : Icp.Solver.paving) =
   && centers_hold a && centers_hold b
   && (a.sat <> []) = (b.sat <> [])
 
-(* Run the named workloads with [set false] then [set true] (caches are
-   off: each run does its own full search).  Decide arms must return
-   the same verdict kind; pave arms must pass [pavings_agree].  Returns
-   (kind, off record, on record) per workload. *)
-let layer_ablation ~section ~quick ~rounds ~set names =
+(* Run every layer workload with [set false] then [set true] (caches
+   are off: each run does its own full search).  Decide arms must
+   return the same verdict kind; pave arms must pass [pavings_agree].
+   Returns (kind, off record, on record) per workload. *)
+let layer_ablation ~section ~quick ~rounds ~set =
   let arms = [ config "off" false; config "on" true ] in
   let pair kind = function
     | [ (_, off); (_, on) ] -> (kind, off, on)
     | _ -> assert false
   in
-  List.filter_map
+  List.map
     (fun (name, search, text, box) ->
-      if not (List.mem name names) then None
-      else
-        let formula = Expr.Parse.formula text in
-        match search with
-        | `Decide config ->
-            Some
-              (pair "decide"
-                 (measure ~section ~workload:name ~rounds
-                    ~answer:(fun (r, _) -> verdict_kind r)
-                    ~counts:(fun (_, s) -> search_counts s)
-                    arms
-                    (fun on ->
-                      set on;
-                      Icp.Solver.decide_with_stats ~config formula box)))
-        | `Pave config ->
-            Some
-              (pair "pave"
-                 (measure ~section ~workload:name ~rounds
-                    ~answer:(fun ((p : Icp.Solver.paving), _) ->
-                      if p.sat <> [] then "feasible" else "infeasible")
-                    ~counts:(fun (_, s) -> search_counts s)
-                    ~agree:(fun (a, _) (b, _) -> pavings_agree formula a b)
-                    arms
-                    (fun on ->
-                      set on;
-                      Icp.Solver.pave_with_stats ~config formula box))))
+      let formula = Expr.Parse.formula text in
+      match search with
+      | `Decide config ->
+          pair "decide"
+            (measure ~section ~workload:name ~rounds
+               ~answer:(fun (r, _) -> verdict_kind r)
+               ~counts:(fun (_, s) -> search_counts s)
+               arms
+               (fun on ->
+                 set on;
+                 Icp.Solver.decide_with_stats ~config formula box))
+      | `Pave config ->
+          pair "pave"
+            (measure ~section ~workload:name ~rounds
+               ~answer:(fun ((p : Icp.Solver.paving), _) ->
+                 if p.sat <> [] then "feasible" else "infeasible")
+               ~counts:(fun (_, s) -> search_counts s)
+               ~agree:(fun (a, _) (b, _) -> pavings_agree formula a b)
+               arms
+               (fun on ->
+                 set on;
+                 Icp.Solver.pave_with_stats ~config formula box)))
     (layer_workloads ~quick)
 
 let print_ablation rows =
@@ -1506,7 +1490,6 @@ let n1 ?(quick = false) () =
   let rounds = if quick then 2 else 3 in
   let rows =
     layer_ablation ~section:"N1" ~quick ~rounds ~set:Icp.Deriv.set_enabled
-      [ "decide-cubic-separation"; "decide-mm-kinetics"; "pave-impulse-fit" ]
   in
   print_ablation rows;
   write_json "BENCH_newton.json" ~section:"N1" ~quick ~rounds
@@ -1567,32 +1550,6 @@ let af1 ?(quick = false) () =
             (count off "steps") (count on "steps") ]
   | _ -> assert false);
   write_json "BENCH_affine.json" ~section:"AF1" ~quick ~rounds ode
-
-(* TM1: the degree-2 Taylor-model layer (Interval.Tm: quadratic
-   monomials kept exactly, Bernstein range bound, enclosure-assisted
-   sat-certification in pave) against interval-only paving.  The switch
-   reaches only pave (decide and ODE flows never evaluate Taylor
-   models), so the rows are the layer workloads' pavings; the band
-   paving, which plain interval certification splits to ε along its
-   whole boundary, is the target.  Box reductions are recorded
-   honestly, regressions included. *)
-let tm1 ?(quick = false) () =
-  section
-    (if quick then "TM1  Taylor models off vs on (quick)"
-     else "TM1  Taylor models: band certification in pave, off vs on");
-  Cache.set_policy Cache.Off;
-  Fun.protect ~finally:(fun () ->
-      Cache.clear_policy_override ();
-      Interval.Tm.clear_enabled_override ())
-  @@ fun () ->
-  let rounds = if quick then 2 else 3 in
-  let rows =
-    layer_ablation ~section:"TM1" ~quick ~rounds ~set:Interval.Tm.set_enabled
-      [ "pave-impulse-fit"; "pave-cubic-band"; "pave-mm-infeasible" ]
-  in
-  print_ablation rows;
-  write_json "BENCH_tm.json" ~section:"TM1" ~quick ~rounds
-    (ablation_records rows)
 
 (* ------------------------------------------------------------------ *)
 (* Part 2: Bechamel kernel timing                                      *)
@@ -1749,10 +1706,10 @@ let run_bechamel () =
   in
   Report.print [ Report.table ~header:[ "kernel"; "time/run" ] rows ]
 
-(* CLI: `--quick` runs the quick-aware sections (c1/o1/j1/n1/af1/tm1/
-   p1) in their reduced configurations (the CI smoke job: fast,
-   still writes the BENCH_*.json dumps); `--only` takes a
-   comma-separated list of section names (e.g. `--only e7,c1,tm1`) and
+(* CLI: `--quick` runs the quick-aware sections (c1/o1/j1/n1/af1/p1)
+   in their reduced configurations (the CI smoke job: fast, still
+   writes the BENCH_*.json dumps); `--only` takes a comma-separated
+   list of section names (e.g. `--only e7,c1,n1`) and
    runs exactly those, quick-aware sections included — an unknown name
    is rejected up front on stderr with the known sections listed.  No
    flags = everything. *)
@@ -1777,7 +1734,6 @@ let () =
       ("j1", fun () -> j1 ~quick ());
       ("n1", fun () -> n1 ~quick ());
       ("af1", fun () -> af1 ~quick ());
-      ("tm1", fun () -> tm1 ~quick ());
       ("bechamel", run_bechamel) ]
   in
   let chosen =
@@ -1803,7 +1759,7 @@ let () =
         if quick then
           List.filter
             (fun (n, _) ->
-              List.mem n [ "c1"; "o1"; "j1"; "n1"; "af1"; "tm1"; "p1" ])
+              List.mem n [ "c1"; "o1"; "j1"; "n1"; "af1"; "p1" ])
             sections
         else sections
   in

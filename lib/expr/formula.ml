@@ -191,19 +191,15 @@ let eval_atom_interval box a =
     | Gt -> if I.certainly_gt_zero i then Certain else if I.certainly_le_zero i then Impossible else Unknown
     | Ge -> if I.certainly_ge_zero i then Certain else if I.certainly_lt_zero i then Impossible else Unknown
 
-(* The certification recursion, parameterized on the atom evaluator so
-   callers can substitute a stronger-but-still-sound one (the solver's
-   enclosure-assisted certifier tightens atom ranges with a
-   Taylor-model forward pass before comparing against zero). *)
-let rec eval_cert_with ~atom box = function
+let rec eval_cert box = function
   | True -> Certain
   | False -> Impossible
-  | Atom a -> atom box a
+  | Atom a -> eval_atom_interval box a
   | And fs ->
       let rec go acc = function
         | [] -> acc
         | f :: rest -> (
-            match eval_cert_with ~atom box f with
+            match eval_cert box f with
             | Impossible -> Impossible
             | Unknown -> go Unknown rest
             | Certain -> go acc rest)
@@ -213,14 +209,12 @@ let rec eval_cert_with ~atom box = function
       let rec go acc = function
         | [] -> acc
         | f :: rest -> (
-            match eval_cert_with ~atom box f with
+            match eval_cert box f with
             | Certain -> Certain
             | Unknown -> go Unknown rest
             | Impossible -> go acc rest)
       in
       go Impossible fs
-
-let eval_cert box f = eval_cert_with ~atom:eval_atom_interval box f
 
 (* Can the δ-weakened formula still be satisfied somewhere in the box?
    [false] is definitive (the weakened formula is unsatisfiable on the

@@ -58,7 +58,6 @@ and scratch = {
   ihis : float array;
   req : reqcell;
   aff : Interval.Affine.t array;  (* affine walker slot values *)
-  tms : Interval.Tm.t array;      (* Taylor-model walker slot values *)
 }
 
 and reqcell = { mutable rlo : float; mutable rhi : float }
@@ -148,8 +147,7 @@ let compile ~vars terms =
           ilos = Array.make n neg_infinity;
           ihis = Array.make n infinity;
           req = { rlo = neg_infinity; rhi = infinity };
-          aff = Array.make n (Interval.Affine.const 0.0);
-          tms = Array.make n (Interval.Tm.const 0.0) })
+          aff = Array.make n (Interval.Affine.const 0.0) })
   in
   { inputs; ops; roots; var_slots; const_los; const_his;
     interior_shared = !interior; scratch_key }
@@ -165,8 +163,7 @@ let scratch tp =
     ilos = Array.make n neg_infinity;
     ihis = Array.make n infinity;
     req = { rlo = neg_infinity; rhi = infinity };
-    aff = Array.make n (Interval.Affine.const 0.0);
-    tms = Array.make n (Interval.Tm.const 0.0) }
+    aff = Array.make n (Interval.Affine.const 0.0) }
 
 let dls_scratch tp = Domain.DLS.get tp.scratch_key
 
@@ -487,93 +484,6 @@ let eval_affine_into tp sc ~inputs ~out =
     out.(k) <- A.concretize sc.aff.(tp.roots.(k))
   done
 
-(* ---- Taylor-model forward pass ----
-
-   The third operand interpretation: slot values are degree-2
-   {!Interval.Tm} models over the same input-indexed symbols as the
-   affine pass, and their concretizations are intersected into the
-   interval slots by the TM-tightened HC4 revise (pave only).  Where the
-   affine walker folds every second-order product into a scalar radius,
-   this one keeps quadratic monomials exactly and bounds the polynomial
-   range by Bernstein coefficients — tighter on the band-boundary boxes
-   that dominate paving. *)
-
-module T = Interval.Tm
-
-let forward_tm tp sc (inputs : I.t array) =
-  let tm = sc.tms in
-  let ops = tp.ops in
-  for s = 0 to Array.length ops - 1 do
-    let r =
-      match Array.unsafe_get ops s with
-      | OVar i -> T.of_interval ~sym:i (Array.unsafe_get inputs i)
-      | OConst c -> T.const c
-      | OAdd (a, b) -> T.add tm.(a) tm.(b)
-      | OSub (a, b) -> T.sub tm.(a) tm.(b)
-      | OMul (a, b) -> T.mul tm.(a) tm.(b)
-      | ODiv (a, b) -> T.div tm.(a) tm.(b)
-      | ONeg a -> T.neg tm.(a)
-      | OPow (a, k) -> T.pow_int tm.(a) k
-      | OExp a -> T.exp tm.(a)
-      | OLog a -> T.log tm.(a)
-      | OSqrt a -> T.sqrt tm.(a)
-      | OSin a -> T.sin tm.(a)
-      | OCos a -> T.cos tm.(a)
-      | OTan a -> T.tan tm.(a)
-      | OAtan a -> T.atan tm.(a)
-      | OTanh a -> T.tanh tm.(a)
-      | OAbs a -> T.abs tm.(a)
-      | OMin (a, b) -> T.min_ tm.(a) tm.(b)
-      | OMax (a, b) -> T.max_ tm.(a) tm.(b)
-    in
-    tm.(s) <- r
-  done
-
-let eval_tm_into tp sc ~inputs ~out =
-  forward_tm tp sc inputs;
-  for k = 0 to Array.length tp.roots - 1 do
-    out.(k) <- T.concretize sc.tms.(tp.roots.(k))
-  done
-
-(* Intersect the interval slot enclosures (left by [forward_intervals])
-   with the concretized TM slot ranges.  Returns [true] iff some slot
-   strictly tightened.  An empty intersection certifies that the slot's
-   subterm has an empty value set on the box — recorded as the
-   (nan, nan) empty slot, which the backward pass treats as infeasible
-   on contact. *)
-let tm_tighten tp sc dom =
-  forward_tm tp sc dom;
-  let lo = sc.ilos and hi = sc.ihis in
-  let tm = sc.tms in
-  let tightened = ref false in
-  for s = 0 to Array.length tp.ops - 1 do
-    let l = Array.unsafe_get lo s in
-    if l = l then begin
-      let r = T.concretize tm.(s) in
-      let rl = r.I.lo and rh = r.I.hi in
-      if rl <> rl || rh <> rh then begin
-        Array.unsafe_set lo s nan;
-        Array.unsafe_set hi s nan;
-        tightened := true
-      end
-      else begin
-        let h = Array.unsafe_get hi s in
-        let l' = fmax l rl and h' = fmin h rh in
-        if l' > h' then begin
-          Array.unsafe_set lo s nan;
-          Array.unsafe_set hi s nan;
-          tightened := true
-        end
-        else if not (l' = l && h' = h) then begin
-          Array.unsafe_set lo s l';
-          Array.unsafe_set hi s h';
-          tightened := true
-        end
-      end
-    end
-  done;
-  !tightened
-
 (* ---- Smoothness certificate ----
 
    After [forward_intervals] over a box, decide whether every function
@@ -816,29 +726,8 @@ and push tp sc s =
         require tp sc b
       end
 
-let hc4_revise tp sc ?(tm = false) ?mask ~target dom =
+let hc4_revise tp sc ?mask ~target dom =
   forward_intervals tp sc dom;
-  (* The TM pass intersects every slot with its concretized range
-     before the backward pass sees them, and refutes outright when it
-     empties root ∩ target. *)
-  let r0 = tp.roots.(0) in
-  let tlo = target.I.lo and thi = target.I.hi in
-  let meets_target () =
-    let l = Array.unsafe_get sc.ilos r0
-    and h = Array.unsafe_get sc.ihis r0 in
-    l = l && tlo = tlo && fmax l tlo <= fmin h thi
-  in
-  let refuted =
-    tm
-    && T.with_span (fun () ->
-           let pre = meets_target () in
-           if tm_tighten tp sc dom then T.note_tightening ();
-           let post = meets_target () in
-           if pre && not post then T.note_refutation ();
-           not post)
-  in
-  if refuted then false
-  else begin
   sc.req.rlo <- target.I.lo;
   sc.req.rhi <- target.I.hi;
   match require tp sc tp.roots.(0) with
@@ -861,4 +750,3 @@ let hc4_revise tp sc ?(tm = false) ?mask ~target dom =
       done;
       true
   | exception Infeasible -> false
-  end

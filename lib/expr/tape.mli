@@ -81,27 +81,11 @@ val eval_interval : t -> scratch -> I.t array -> I.t
     enclosure of the same value set as {!eval_interval_into} — never
     assumed tighter; callers intersect the two.  The ODE field
     evaluation ([Ode.Enclosure]) is the one production caller: HC4
-    runs on plain intervals, tightened only by the Taylor-model pass
-    where pave asks for it. *)
+    runs on plain intervals. *)
 
 val eval_affine_into : t -> scratch -> inputs:I.t array -> out:I.t array -> unit
 (** Evaluate every root affinely over the input box and store the
     concretized range of root [k] in [out.(k)]. *)
-
-(** {1 Taylor-model evaluation}
-
-    A third operand interpretation: slot values are degree-2
-    {!Interval.Tm} models over the same input-indexed symbols as the
-    affine pass.  Quadratic monomials are kept exactly — where the
-    affine walker folds every product's second-order structure into a
-    scalar radius — and the polynomial range is bounded per variable by
-    Bernstein coefficients over the unit box.  Concretized results are
-    sound enclosures of the same value sets as {!eval_interval_into};
-    callers intersect the two. *)
-
-val eval_tm_into : t -> scratch -> inputs:I.t array -> out:I.t array -> unit
-(** Evaluate every root as a Taylor model over the input box and store
-    the concretized range of root [k] in [out.(k)]. *)
 
 val smooth_on : t -> scratch -> bool
 (** Must be called directly after an interval evaluation over a box
@@ -122,7 +106,6 @@ val smooth_on : t -> scratch -> bool
 val hc4_revise :
   t ->
   scratch ->
-  ?tm:bool ->
   ?mask:bool array ->
   target:I.t ->
   I.t array ->
@@ -134,15 +117,6 @@ val hc4_revise :
     positions where [mask] is true, when given — and the function returns
     [false] iff the constraint [root ∈ target] is infeasible on [dom] (in
     which case [dom] is meaningless and should be discarded).
-
-    With [~tm:true] (default [false]) the forward enclosures are first
-    intersected slot-by-slot with the Taylor-model walker's concretized
-    ranges — a sound tightening, since both passes enclose the same
-    value sets — and the revise refutes immediately (returns [false])
-    when the tightened root no longer meets [target].  The pass runs
-    inside the [icp.tm] span with the [tm.tightenings] /
-    [tm.refutations] counters and the [tm-refute] journal prune reason.
-    With [~tm:false] the TM walker never runs: plain interval HC4.
 
     Matches the tree-walking [Icp.Contractor.revise] exactly when
     {!interior_sharing} is [0]; shared interior slots accumulate

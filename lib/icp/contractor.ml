@@ -308,7 +308,7 @@ let compile constraints =
   { cvars = Array.of_list vars; ctapes; ws_key }
 
 let fixpoint_compiled ?(tol = default_tol) ?(max_rounds = default_max_rounds)
-    ?(tm = false) cs box =
+    cs box =
   let n = Array.length cs.cvars in
   let ws = Domain.DLS.get cs.ws_key in
   let dom = ws.dom and present = ws.present in
@@ -333,7 +333,7 @@ let fixpoint_compiled ?(tol = default_tol) ?(max_rounds = default_max_rounds)
     while !ok && !k < m do
       let tp, target = cs.ctapes.(!k) in
       ok :=
-        Expr.Tape.hc4_revise tp scratches.(!k) ~tm ~mask:present ~target dom;
+        Expr.Tape.hc4_revise tp scratches.(!k) ~mask:present ~target dom;
       incr k
     done;
     !ok
@@ -404,12 +404,10 @@ let hc4_cache : Box.t option Cache.t = Cache.create ~group_capacity:1024 "hc4"
 (* Compile-once tape-backed fixpoint closure.  The closure is safe to
    share across worker domains (tapes are immutable; scratch is
    per-domain via Domain.DLS; the cache shards are mutex-guarded). *)
-let contractor ?tol ?max_rounds ?(tm = false) constraints =
-  (* Plain interval HC4; the Taylor-model pass is opt-in per call site
-     ([?tm], default off): only pave asks for it. *)
+let contractor ?tol ?max_rounds constraints =
   let base =
     let cs = compile constraints in
-    fun box -> fixpoint_compiled ?tol ?max_rounds ~tm cs box
+    fun box -> fixpoint_compiled ?tol ?max_rounds cs box
   in
   (* Derivative layer (mean-value refutation + interval Newton), run
      after the HC4 fixpoint; when Newton contracts the box, one more
@@ -445,10 +443,10 @@ let contractor ?tol ?max_rounds ?(tm = false) constraints =
     (* The newton flag keys the group too: Newton-contracted results
        must never replay into a Newton-off run (and vice versa), or the
        kill-switch would no longer reproduce the HC4-only search. *)
-    Printf.sprintf "hc4|%s|%h|%d|%b|%b" (fingerprint constraints)
+    Printf.sprintf "hc4|%s|%h|%d|%b" (fingerprint constraints)
       (Option.value tol ~default:default_tol)
       (Option.value max_rounds ~default:default_max_rounds)
-      (Option.is_some newton) tm
+      (Option.is_some newton)
   in
   let cached box =
     if not (Cache.enabled ()) then base box

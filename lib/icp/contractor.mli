@@ -54,18 +54,13 @@ val compile : constr list -> compiled
 val fixpoint_compiled :
   ?tol:float ->
   ?max_rounds:int ->
-  ?tm:bool ->
   compiled ->
   Interval.Box.t ->
   Interval.Box.t option
-(** [?tm] (default [false]) threads the Taylor-model-tightened forward
-    pass into every HC4 revise (see {!Expr.Tape.hc4_revise}); sound
-    either way, possibly tighter with it on. *)
 
 val contractor :
   ?tol:float ->
   ?max_rounds:int ->
-  ?tm:bool ->
   constr list ->
   Interval.Box.t ->
   Interval.Box.t option
@@ -80,8 +75,4 @@ val contractor :
     unchanged; with Newton disabled the closure reproduces the HC4-only
     result bit for bit (cache groups are keyed on the flag).  The
     closure may be shared across worker domains: tapes are immutable
-    and scratch buffers are per-domain.
-
-    [?tm] (default [false], whatever the global switch says) adds the
-    Taylor-model pass; only pave asks for it.  The HC4 cache group keys
-    on the effective flags. *)
+    and scratch buffers are per-domain. *)

@@ -58,14 +58,10 @@ let jbounds b =
   Array.of_list
     (List.map (fun (x, i) -> (x, I.lo i, I.hi i)) (Box.to_list b))
 
-(* "tm" records whether the run evaluates Taylor models (the caller's
-   [tm]: only pave does); "affine_budget" is the cap on their monomial
-   families.  No affine flag: the search runs HC4 on plain intervals
+(* No affine flag or budget: the search runs HC4 on plain intervals
    whatever the affine switch says. *)
-let journal_flags ~tm jobs =
+let journal_flags jobs =
   [ ("newton", string_of_bool (Deriv.enabled ()));
-    ("affine_budget", string_of_int (Interval.Affine.budget ()));
-    ("tm", string_of_bool tm);
     ("cache", string_of_bool (Cache.enabled ()));
     ("jobs", string_of_int jobs) ]
 
@@ -560,7 +556,7 @@ let decide_with_stats ?config formula box =
         if Journal.on () then begin
           let cfg = Option.value config ~default:default_config in
           Journal.begin_run ~kind:"decide"
-            ~flags:(journal_flags ~tm:false (Stdlib.max 1 cfg.jobs))
+            ~flags:(journal_flags (Stdlib.max 1 cfg.jobs))
             ()
         end
         else 0
@@ -622,103 +618,12 @@ let pave_group cfg formula =
   if not (Cache.enabled ()) then None
   else
     Some
-      (Printf.sprintf "pave|%s|%b|%b|%b"
+      (Printf.sprintf "pave|%s|%b|%b"
          (Digest.to_hex (Digest.string (Expr.Formula.fingerprint formula)))
          cfg.use_contraction
-         (Deriv.enabled ())
-         (Interval.Tm.enabled ()))
+         (Deriv.enabled ()))
 
-(* ---- Enclosure-assisted sat-certification ----
-
-   [Formula.eval_cert] classifies boxes with plain interval evaluation
-   of each atom, so a feasible band box only certifies once bisection
-   has shrunk the interval overestimate below the band's slack — on
-   dependency-rich atoms that is exactly the overestimate the
-   Taylor-model walker removes.  Build a per-query atom certifier that
-   re-evaluates Unknown atoms through the tape's TM pass and intersects
-   the ranges before the zero test; sound because both passes enclose
-   the atom's true value set on the box.
-
-   The certifier belongs to the Taylor-model layer: it is built only
-   when that layer is live (so [BIOMC_NO_TM=1]/[--no-tm] restores the
-   plain {!Expr.Formula.eval_cert} classifier — and with it the
-   interval-only pave — bit for bit).  Returns [None] when disabled.
-
-   One single-root tape per distinct atom term, shared by fingerprint;
-   scratch is per-domain (Domain.DLS), so the returned certifier may be
-   called from parallel worker domains. *)
-let enclosure_atom_cert ~tm formula =
-  if not (tm && Interval.Tm.enabled ()) then None
-  else begin
-    let key (t : Expr.Term.t) =
-      let b = Buffer.create 64 in
-      Expr.Term.fingerprint_acc b t;
-      Buffer.contents b
-    in
-    let tapes : (string, Expr.Tape.t * string array) Hashtbl.t =
-      Hashtbl.create 8
-    in
-    List.iter
-      (fun (a : Expr.Formula.atom) ->
-        let k = key a.term in
-        if not (Hashtbl.mem tapes k) then begin
-          let vars = Expr.Term.free_var_list a.term in
-          Hashtbl.add tapes k
-            (Expr.Tape.compile ~vars [ a.term ], Array.of_list vars)
-        end)
-      (Expr.Formula.atoms formula);
-    let verdict_of (i : I.t) (rel : Expr.Formula.rel) =
-      if I.is_empty i then Expr.Formula.Impossible
-      else
-        match rel with
-        | Expr.Formula.Gt ->
-            if I.certainly_gt_zero i then Expr.Formula.Certain
-            else if I.certainly_le_zero i then Expr.Formula.Impossible
-            else Expr.Formula.Unknown
-        | Expr.Formula.Ge ->
-            if I.certainly_ge_zero i then Expr.Formula.Certain
-            else if I.certainly_lt_zero i then Expr.Formula.Impossible
-            else Expr.Formula.Unknown
-    in
-    Some
-      (fun box (a : Expr.Formula.atom) ->
-        match Expr.Formula.eval_atom_interval box a with
-        | (Expr.Formula.Certain | Expr.Formula.Impossible) as v -> v
-        | Expr.Formula.Unknown -> (
-            match Hashtbl.find_opt tapes (key a.term) with
-            | None -> Expr.Formula.Unknown
-            | Some (tp, vars) ->
-                let inputs =
-                  Array.map
-                    (fun x ->
-                      match Box.find_opt x box with
-                      | Some itv -> itv
-                      | None -> I.entire)
-                    vars
-                in
-                let sc = Expr.Tape.dls_scratch tp in
-                let out = Array.make 1 I.empty in
-                let r = Expr.Term.eval_interval box a.term in
-                let r =
-                  if I.is_empty r then r
-                  else
-                    Interval.Tm.with_span (fun () ->
-                        Expr.Tape.eval_tm_into tp sc ~inputs ~out;
-                        let w = I.inter r out.(0) in
-                        if not (I.equal w r) then Interval.Tm.note_tightening ();
-                        w)
-                in
-                verdict_of r a.rel))
-  end
-
-(* The box classifier used by the paving loops: [eval_cert] with the
-   enclosure-assisted atom certifier when one is live. *)
-let pave_cert ~tm formula =
-  match enclosure_atom_cert ~tm formula with
-  | None -> Expr.Formula.eval_cert
-  | Some atom -> Expr.Formula.eval_cert_with ~atom
-
-let pave_step cfg ~cert ?refuted ?dsys contract formula b =
+let pave_step cfg ?refuted ?dsys contract formula b =
   let known_unsat =
     match refuted with
     | None -> false
@@ -740,7 +645,7 @@ let pave_step cfg ~cert ?refuted ?dsys contract formula b =
     Pave_unsat
   end
   else
-  match cert b formula with
+  match Expr.Formula.eval_cert b formula with
   | Expr.Formula.Certain -> Pave_sat
   | Expr.Formula.Impossible ->
       record_unsat ();
@@ -767,14 +672,12 @@ let pave_search ?(config = default_config) formula box =
   let constraints = List.map (Contractor.of_atom ~delta:0.0) atoms in
   (* Compiled once for the whole paving; used only as an infeasibility
      test, so the atom conjunction over-approximation is sound here. *)
-  let tm = Interval.Tm.enabled () in
   let contract =
     if config.use_contraction then
-      Contractor.contractor ~max_rounds:2 ~tm constraints
+      Contractor.contractor ~max_rounds:2 constraints
     else fun b -> Some b
   in
   let refuted = pave_group config formula in
-  let cert = pave_cert ~tm formula in
   let dsys = conjunction_deriv ~delta:0.0 atoms in
   let jobs = Stdlib.max 1 config.jobs in
   let stats = fresh_stats () in
@@ -813,7 +716,7 @@ let pave_search ?(config = default_config) formula box =
             Journal.enter ~id:jid ~depth;
             Journal.clear_reason ()
           end;
-          match pave_step config ~cert ?refuted ?dsys contract formula b with
+          match pave_step config ?refuted ?dsys contract formula b with
           | Pave_sat ->
               if jon then Journal.leaf ~id:jid ~cls:"sat" ();
               sat := b :: !sat
@@ -860,9 +763,7 @@ let pave_with_stats ?config formula box =
         if Journal.on () then begin
           let cfg = Option.value config ~default:default_config in
           Journal.begin_run ~kind:"pave"
-            ~flags:
-              (journal_flags ~tm:(Interval.Tm.enabled ())
-                 (Stdlib.max 1 cfg.jobs))
+            ~flags:(journal_flags (Stdlib.max 1 cfg.jobs))
             ()
         end
         else 0

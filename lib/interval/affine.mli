@@ -64,8 +64,8 @@ val budget : unit -> int
 (** The effective budget: the last {!set_budget} value if any,
     otherwise [BIOMC_AFFINE_BUDGET] from the environment (positive
     integers only; malformed values fall back to {!default_budget}),
-    otherwise {!default_budget}.  Also caps each monomial family of
-    the {!Tm} forms.  The solver snapshots this into the journal flag
+    otherwise {!default_budget}.  Only the ODE field's affine forms
+    reach it; reach and synth runs snapshot it into their journal flag
     header, so [biomc explain]'s flag-consistency audit covers it. *)
 
 val set_budget : int -> unit

@@ -120,8 +120,7 @@ let flow_tape ?(warm = []) cfg prep ~params ~init ~t_end ~iters t0 =
      rates with opposite signs in mass-action kinetics), so the affine
      range intersected into the interval one shrinks f(B) and with it
      the whole tube.  Sampled once per flow — the flow cache group is
-     keyed on the same flag.  No Taylor-model pass: on the paper's
-     workloads it took most of the flow time and changed no tube. *)
+     keyed on the same flag. *)
   let affine = Interval.Affine.enabled () in
   let abuf = Array.make n I.empty in
   let eval_field tape sc time (x : I.t array) (out : I.t array) =

@@ -40,11 +40,13 @@ module Log = (val Logs.src_log src : Logs.LOG)
    path, nested under the per-path span (payload: path length), nested
    under the whole check.  Counters record how many candidate paths and
    flow segments were evaluated and how often the validated tube was
-   replaced by the non-rigorous ensemble bracket. *)
+   replaced by the non-rigorous ensemble bracket; the [reach.bracket]
+   span times each such replacement. *)
 let tm_check = Telemetry.Span.probe "reach.check"
 let tm_synth = Telemetry.Span.probe "reach.synthesize"
 let tm_path = Telemetry.Span.probe "reach.path"
 let tm_segment = Telemetry.Span.probe "reach.segment"
+let tm_bracket = Telemetry.Span.probe "reach.bracket"
 let m_paths = Telemetry.Counter.make "reach.paths"
 let m_segments = Telemetry.Counter.make "reach.segments"
 let m_brackets = Telemetry.Counter.make "reach.fallback_brackets"
@@ -59,7 +61,7 @@ let jbounds b =
 let journal_flags jobs =
   [ ("newton", string_of_bool (Icp.Deriv.enabled ()));
     ("affine", string_of_bool (Interval.Affine.enabled ()));
-    ("tm", "false");
+    ("affine_budget", string_of_int (Interval.Affine.budget ()));
     ("cache", string_of_bool (Cache.enabled ()));
     ("jobs", string_of_int jobs) ]
 
@@ -264,7 +266,8 @@ let flow_enclosure_uncached cfg pb_sys ~prepared ~params_box ~init_box ~t_end =
        <= Float.max cfg.tube_quality_width (4.0 *. init_width)
   in
   if tube_usable then Some { steps = tube.Ode.Enclosure.steps; rigorous = true }
-  else begin
+  else
+    Telemetry.Span.with_ tm_bracket @@ fun () ->
     (* Ensemble fallback: simulate from sampled (params, init) pairs. *)
     Telemetry.Counter.incr m_brackets;
     let joint =
@@ -288,7 +291,6 @@ let flow_enclosure_uncached cfg pb_sys ~prepared ~params_box ~init_box ~t_end =
     match bracket_of_traces cfg t_end traces with
     | [] -> None
     | steps -> Some { steps; rigorous = false }
-  end
 
 let flow_enclosure ?jseg cfg pb_sys ~prepared ~params_box ~init_box ~t_end =
   (* [jseg = (path, depth, mode)]: journal one segment record per flow
@@ -777,7 +779,8 @@ let check ?(config = default_config) (pb : Encoding.t) =
         ~truncated:(match r with Unknown _ -> true | _ -> false)
         ~verdict:
           (match r with
-          | Unsat _ -> "unsat"
+          | Unsat { rigorous = true } -> "unsat"
+          | Unsat { rigorous = false } -> "unsat-bracketed"
           | Delta_sat _ -> "delta-sat"
           | Unknown _ -> "unknown")
         jrun;

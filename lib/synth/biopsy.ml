@@ -187,7 +187,7 @@ let synthesize ?(config = default_config) prob =
         ~flags:
           [ ("newton", string_of_bool (Icp.Deriv.enabled ()));
             ("affine", string_of_bool (Interval.Affine.enabled ()));
-            ("tm", "false");
+            ("affine_budget", string_of_int (Interval.Affine.budget ()));
             ("cache", string_of_bool (Cache.enabled ()));
             ("jobs", string_of_int jobs) ]
         ()

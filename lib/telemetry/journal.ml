@@ -892,13 +892,12 @@ let audit f =
               in
               (match reason with
               | "newton" | "mean-value" -> requires "newton"
-              | "tm-refute" -> requires "tm"
               | "cache-replay" -> requires "cache"
               | _ -> ()))
       | _ -> ())
     (nodes f);
   (* flag snapshot well-formedness: a recorded affine budget must be a
-     positive integer (the solver writes [Affine.budget ()], which is
+     positive integer (reach and synth write [Affine.budget ()], which is
      clamped — anything else means a corrupted or hand-edited header) *)
   List.iter
     (fun (r : run_info) ->

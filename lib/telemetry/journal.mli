@@ -144,7 +144,7 @@ val seg : path:int -> index:int -> mode:string -> cached:bool -> unit
 (** {2 Prune-reason attribution}
 
     The layer that actually refutes a box (HC4 tape, interval Newton,
-    mean-value form, Taylor-model pass, a cache replay) is several calls
+    mean-value form, a cache replay) is several calls
     below the loop that emits the prune record, so attribution flows
     through a per-domain cell: the refuting site calls {!set_reason},
     the loop clears the cell before each box and {!take_reason}s it
@@ -262,7 +262,7 @@ val audit : forest -> string list
     (un-truncated, no-cancel) run every reachable node is accounted for
     (split or terminal); prune reasons are consistent with the run
     header's flag snapshot (["newton"]/["mean-value"] need the newton
-    flag, ["tm-refute"] the tm flag, ["cache-replay"] the cache flag);
+    flag, ["cache-replay"] the cache flag);
     a recorded ["affine_budget"] flag parses as a positive integer. *)
 
 val provenance_json : forest -> string

@@ -253,8 +253,8 @@ let decide_cases =
       box [ ("x", 0.0, 2.0); ("y", 0.0, 2.0) ] ) ]
 
 (* A dependency-rich impulse-response fit and an annulus band: pave
-   runs the Taylor-model certifier and contractor on both, and neither
-   may consult the affine switch. *)
+   runs its certifier and contractor on both, and neither may consult
+   the affine switch. *)
 let pave_cases =
   [ ( "impulse-fit",
       "a*k*exp(-k) >= 0.3 and a*k*exp(-k) <= 0.5 and \

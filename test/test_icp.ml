@@ -223,6 +223,75 @@ let test_pave_all_sat () =
   Alcotest.(check int) "one sat box" 1 (List.length p.S.sat);
   Alcotest.(check int) "no unsat" 0 (List.length p.S.unsat)
 
+(* The worker count of the parallel runs below: BIOMC_TEST_JOBS when it
+   asks for real parallelism, else 2. *)
+let test_jobs =
+  match Option.bind (Sys.getenv_opt "BIOMC_TEST_JOBS") int_of_string_opt with
+  | Some j when j > 1 -> j
+  | _ -> 2
+
+let sorted_leaves l = List.sort (fun a b -> compare (Box.to_list a) (Box.to_list b)) l
+
+(* A band whose atoms mention their variable three times, paved to
+   ε = 0.05: every classified leaf is right at its center, no sat leaf
+   shares volume with an unsat leaf, the leaves tile the box, and the
+   paving is the same set of leaves at any worker count. *)
+let test_pave_cubic_band () =
+  let f =
+    P.formula
+      "x^3 - 2*x^2 + 1.25*x >= 0.2 and x^3 - 2*x^2 + 1.25*x <= 0.3 and \
+       y^3 - 2*y^2 + 1.25*y >= 0.2 and y^3 - 2*y^2 + 1.25*y <= 0.3"
+  in
+  let b = box [ ("x", 0.0, 2.0); ("y", 0.0, 2.0) ] in
+  let pave jobs = S.pave ~config:{ S.default_config with epsilon = 0.05; jobs } f b in
+  let p = pave 1 in
+  Alcotest.(check bool) "has unsat leaves" true (p.S.unsat <> []);
+  List.iter
+    (fun bx ->
+      if not (F.holds_env (Box.mid_env bx) f) then
+        Alcotest.failf "sat leaf %s fails at its center" (Box.to_string bx))
+    p.S.sat;
+  List.iter
+    (fun bx ->
+      if F.holds_env (Box.mid_env bx) f then
+        Alcotest.failf "unsat leaf %s holds at its center" (Box.to_string bx))
+    p.S.unsat;
+  Alcotest.(check bool) "no sat leaf overlaps an unsat leaf" false
+    (List.exists
+       (fun s -> List.exists (fun u -> Box.volume (Box.inter s u) > 0.0) p.S.unsat)
+       p.S.sat);
+  let vs, vu, vund = S.paving_volumes ~over:[ "x"; "y" ] p in
+  Alcotest.(check (float 1e-9)) "leaf volumes tile the box" 4.0 (vs +. vu +. vund);
+  let q = pave test_jobs in
+  List.iter
+    (fun (label, l, l') ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s leaves equal at jobs=%d" label test_jobs)
+        true
+        (List.equal Box.equal (sorted_leaves l) (sorted_leaves l')))
+    [ ("sat", p.S.sat, q.S.sat);
+      ("unsat", p.S.unsat, q.S.unsat);
+      ("undecided", p.S.undecided, q.S.undecided) ]
+
+(* The ring paving's leaf set, pinned by the canonical fingerprint
+   [biomc explain] checks reconstructed pavings with: the digest of
+   every leaf box endpoint under the default search (derivative layer
+   on), so any change to how pave classifies, contracts or splits
+   shows here. *)
+let test_pave_ring_fingerprint () =
+  Icp.Deriv.set_enabled true;
+  Fun.protect ~finally:Icp.Deriv.clear_enabled_override @@ fun () ->
+  let f = P.formula "x^2 + y^2 <= 1 and x^2 + y^2 >= 1/2" in
+  let b = box [ ("x", -1.5, 1.5); ("y", -1.5, 1.5) ] in
+  let p = S.pave ~config:{ S.default_config with epsilon = 0.05 } f b in
+  let bounds bx =
+    Array.of_list (List.map (fun (v, i) -> (v, I.lo i, I.hi i)) (Box.to_list bx))
+  in
+  Alcotest.(check string) "ring leaf-set fingerprint"
+    "22daf9923b1d7e1e7e7139cb4292cde3"
+    (Journal.leaf_bounds_fingerprint
+       (List.map bounds (p.S.sat @ p.S.unsat @ p.S.undecided)))
+
 (* ---- ∃∀ CEGIS ---- *)
 
 let test_eforall_scaling () =
@@ -377,6 +446,8 @@ let () =
         [
           Alcotest.test_case "circle" `Quick test_pave_circle;
           Alcotest.test_case "all sat" `Quick test_pave_all_sat;
+          Alcotest.test_case "cubic band" `Quick test_pave_cubic_band;
+          Alcotest.test_case "ring fingerprint pinned" `Quick test_pave_ring_fingerprint;
         ] );
       ( "eforall",
         [

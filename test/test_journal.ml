@@ -55,12 +55,17 @@ let the_run forest =
 
 let check_audit forest = Alcotest.(check (list string)) "audit" [] (J.audit forest)
 
-(* The run header's tm flag records whether the run evaluated Taylor
-   models, not the global switch. *)
-let check_tm_flag (run : J.run_info) expected =
-  Alcotest.(check (option string))
-    (run.J.kind ^ " run tm flag") (Some (string_of_bool expected))
-    (List.assoc_opt "tm" run.J.flags)
+(* A run header records the switches its run actually consulted: the
+   search kinds (decide, pave) run HC4 on plain intervals, so they carry
+   no affine flag or budget; reach and synth flows condense the ODE
+   field's affine forms to [affine_budget]. *)
+let search_flags = [ "cache"; "jobs"; "newton" ]
+let flow_flags = [ "affine"; "affine_budget"; "cache"; "jobs"; "newton" ]
+
+let check_flag_keys (run : J.run_info) expected =
+  Alcotest.(check (list string))
+    (run.J.kind ^ " run header flags") expected
+    (List.sort compare (List.map fst run.J.flags))
 
 (* Terminal bounds of a run, excluding empty-box leaves (those are
    dropped from the solver's paving as well). *)
@@ -92,7 +97,7 @@ let test_pave_fingerprint jobs () =
   check_audit forest;
   let run = the_run forest in
   Alcotest.(check string) "kind" "pave" run.J.kind;
-  check_tm_flag run (Interval.Tm.enabled ());
+  check_flag_keys run search_flags;
   let lb = leaf_bounds forest run.J.rid in
   Alcotest.(check int) "leaf count" (List.length solver_boxes) (List.length lb);
   Alcotest.(check string)
@@ -135,25 +140,15 @@ let test_explain_decide () =
   J.set_sink J.Memory;
   let f = formula "x^2 + y^2 = 1 and y = x^2" in
   let box = Box.of_list [ ("x", I.make 0.0 2.0); ("y", I.make 0.0 2.0) ] in
-  (* The global TM switch on: decide still runs without Taylor models,
-     and its journal must say so. *)
-  Interval.Tm.set_enabled true;
-  (match
-     Fun.protect ~finally:Interval.Tm.clear_enabled_override (fun () ->
-         S.decide f box)
-   with
+  (match S.decide f box with
   | S.Delta_sat _ -> ()
   | r -> Alcotest.failf "expected delta-sat, got %a" S.pp_result r);
   let records, forest = load_forest () in
   check_audit forest;
   let run = the_run forest in
-  check_tm_flag run false;
-  (* Decide never evaluates affine forms: no affine flag, but the
-     budget that caps Taylor-model families stays in the header. *)
-  Alcotest.(check (option string)) "decide run has no affine flag" None
-    (List.assoc_opt "affine" run.J.flags);
-  Alcotest.(check bool) "decide run records affine_budget" true
-    (List.mem_assoc "affine_budget" run.J.flags);
+  (* Decide never evaluates affine forms: neither the affine flag nor
+     its budget is in the header. *)
+  check_flag_keys run search_flags;
   Alcotest.(check (option string)) "verdict" (Some "delta-sat") run.J.verdict;
   Alcotest.(check bool) "conclusive run is not truncated" false run.J.truncated;
   let sats =
@@ -178,6 +173,12 @@ let test_explain_decide () =
     "reconstruct keeps every record" (List.length records)
     (List.length (J.records forest))
 
+let decay_k =
+  Ode.System.of_strings ~vars:[ "x" ] ~params:[ "k" ] ~rhs:[ ("x", "-k*x") ]
+
+let decay_k_automaton =
+  A.of_system ~init:(Box.of_list [ ("x", I.of_float 1.0) ]) decay_k
+
 let decay_automaton =
   A.of_system
     ~init:(Box.of_list [ ("x", I.of_float 1.0) ])
@@ -197,11 +198,15 @@ let test_explain_reach () =
   check_audit forest;
   let run = the_run forest in
   Alcotest.(check string) "kind" "reach" run.J.kind;
-  check_tm_flag run false;
-  (* Reach flows still evaluate the field affinely. *)
+  (* Reach flows still evaluate the field affinely, condensed to the
+     recorded budget. *)
+  check_flag_keys run flow_flags;
   Alcotest.(check (option string)) "reach run keeps the affine flag"
     (Some (string_of_bool (Interval.Affine.enabled ())))
     (List.assoc_opt "affine" run.J.flags);
+  Alcotest.(check (option string)) "reach run records the affine budget"
+    (Some (string_of_int (Interval.Affine.budget ())))
+    (List.assoc_opt "affine_budget" run.J.flags);
   Alcotest.(check (option string)) "verdict" (Some "delta-sat") run.J.verdict;
   let has_seg =
     List.exists
@@ -222,6 +227,66 @@ let test_explain_reach () =
   Alcotest.(check bool)
     "report names reach" true
     (contains (J.report forest) "reach")
+
+(* x' = -kx from x = 1 never grows to 2.  Over k in [0.5, 2] the
+   interval tube wraps past the quality width by t = 2 and the checker
+   falls back to a sampled bracket: the run is "unsat-bracketed" and
+   explain claims no refutation cover.  Over k in [0.9, 1.1] the
+   validated tube holds and the unsat is a proof. *)
+let test_explain_bracketed_unsat () =
+  let run_one k_lo k_hi =
+    J.set_sink J.Memory;
+    J.reset ();
+    let pb =
+      E.create
+        ~param_box:(Box.of_list [ ("k", I.make k_lo k_hi) ])
+        ~goal:{ E.goal_modes = []; predicate = P.formula "x >= 2" }
+        ~k:0 ~time_bound:2.0 decay_k_automaton
+    in
+    let rigorous =
+      match C.check pb with
+      | C.Unsat { rigorous } -> rigorous
+      | r -> Alcotest.failf "expected unsat, got %a" C.pp_result r
+    in
+    let _, forest = load_forest () in
+    check_audit forest;
+    (rigorous, (the_run forest).J.verdict, J.report forest)
+  in
+  let rigorous, verdict, report = run_one 0.5 2.0 in
+  Alcotest.(check bool) "wide k is bracketed" false rigorous;
+  Alcotest.(check (option string)) "bracketed verdict"
+    (Some "unsat-bracketed") verdict;
+  Alcotest.(check bool) "no refutation cover for a bracket" false
+    (contains report "refutation cover");
+  let rigorous, verdict, report = run_one 0.9 1.1 in
+  Alcotest.(check bool) "narrow k is validated" true rigorous;
+  Alcotest.(check (option string)) "validated verdict" (Some "unsat") verdict;
+  Alcotest.(check bool) "refutation cover for a proof" true
+    (contains report "refutation cover")
+
+(* A biopsy run's header is the flow header: its tubes condense the
+   field's affine forms to the recorded budget. *)
+let test_synth_header () =
+  J.set_sink J.Memory;
+  let data =
+    List.map
+      (fun t ->
+        Synth.Data.point ~time:t ~var:"x" ~value:(Float.exp (-.t))
+          ~tolerance:0.08)
+      [ 0.5; 1.0 ]
+  in
+  let prob =
+    Synth.Biopsy.problem ~sys:decay_k
+      ~param_box:(Box.of_list [ ("k", I.make 0.5 2.0) ])
+      ~init:(Box.of_list [ ("x", I.of_float 1.0) ])
+      ~data
+  in
+  ignore (Synth.Biopsy.synthesize prob);
+  let _, forest = load_forest () in
+  check_audit forest;
+  let run = the_run forest in
+  Alcotest.(check string) "kind" "synth" run.J.kind;
+  check_flag_keys run flow_flags
 
 (* ---- audit rejections ---- *)
 
@@ -380,7 +445,11 @@ let () =
        [ Alcotest.test_case "decide round-trip" `Quick
            (clean test_explain_decide);
          Alcotest.test_case "reach round-trip" `Quick
-           (clean test_explain_reach) ]);
+           (clean test_explain_reach);
+         Alcotest.test_case "bracketed reach unsat" `Quick
+           (clean test_explain_bracketed_unsat);
+         Alcotest.test_case "synth header" `Quick
+           (clean test_synth_header) ]);
       ("audit",
        [ Alcotest.test_case "clean synthetic journal" `Quick
            (clean test_audit_clean_synthetic);

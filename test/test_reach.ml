@@ -171,6 +171,42 @@ let test_reach_two_modes_unsat () =
   in
   expect_unsat "down never re-reaches 1" (C.check pb)
 
+(* The ensemble fallback runs inside the [reach.bracket] span: a check
+   that brackets advances the span count by exactly as many flows as
+   the [reach.fallback_brackets] counter records.  Over k in [0.5, 2]
+   the interval tube of x' = -kx wraps past the quality width by t = 2,
+   so the growth query is unsat only by a bracket.  Caches off: every
+   flow is integrated afresh. *)
+let test_bracket_span () =
+  let metrics = Telemetry.metrics_on () in
+  Telemetry.set_metrics true;
+  Cache.set_policy Cache.Off;
+  Fun.protect
+    ~finally:(fun () ->
+      Cache.clear_policy_override ();
+      Telemetry.set_metrics metrics)
+  @@ fun () ->
+  let spans () =
+    match List.assoc_opt "reach.bracket" (Telemetry.Metrics.histograms ()) with
+    | Some s -> s.Telemetry.Histogram.count
+    | None -> 0
+  and brackets () =
+    Option.value ~default:0
+      (List.assoc_opt "reach.fallback_brackets" (Telemetry.Metrics.counters ()))
+  in
+  let spans0 = spans () and brackets0 = brackets () in
+  let pb =
+    E.create
+      ~param_box:(Box.of_list [ ("k", I.make 0.5 2.0) ])
+      ~goal:(goal "x >= 2") ~k:0 ~time_bound:2.0 decay_k_automaton
+  in
+  (match C.check pb with
+  | C.Unsat { rigorous = false } -> ()
+  | r -> Alcotest.failf "expected a bracketed unsat, got %a" C.pp_result r);
+  let n = brackets () - brackets0 in
+  Alcotest.(check bool) "the check brackets" true (n > 0);
+  Alcotest.(check int) "one reach.bracket span per fallback" n (spans () - spans0)
+
 let test_synthesize_threshold () =
   (* Partition k ∈ [0.1, 3.0] for goal x <= 0.3 by t=1: the boundary is at
      k* = -ln 0.3 ≈ 1.204.  Feasible boxes must lie (mostly) right of it,
@@ -297,6 +333,7 @@ let () =
           Alcotest.test_case "parameterized unsat" `Quick test_reach_parameterized_unsat;
           Alcotest.test_case "two modes sat" `Quick test_reach_two_modes;
           Alcotest.test_case "two modes unsat" `Quick test_reach_two_modes_unsat;
+          Alcotest.test_case "bracket span counts fallbacks" `Quick test_bracket_span;
           Alcotest.test_case "synthesize threshold" `Slow test_synthesize_threshold;
           Alcotest.test_case "witness replays" `Quick test_witness_replays;
         ] );
