@@ -884,13 +884,14 @@ let p1 ?(quick = false) () =
     records
 
 (* ------------------------------------------------------------------ *)
-(* C1: subsumption caches off vs on (jobs = 1)                         *)
+(* C1: exact-hit caches off vs on (jobs = 1)                          *)
 (* ------------------------------------------------------------------ *)
 
 (* Each kernel runs the same workload with every cache disabled
-   ([Cache.Off] — exactly the BIOMC_NO_CACHE=1 code path) and with the
-   default exact-hit policy, clearing all caches before each timed run
-   so every run starts cold.  The answers are checked to be
+   (exactly the BIOMC_NO_CACHE=1 code path) and enabled, clearing all
+   caches before each timed run so every run starts cold.  The two
+   kernels exercise the two stores: the BioPSy verdict store and the
+   reach segment store.  The answers are checked to be
    byte-identical (exact replays are identity-preserving), so the
    speedup column is pure memoization gain.  Results land in
    BENCH_cache.json, together with the SMC allocation before/after row
@@ -900,20 +901,20 @@ let p1 ?(quick = false) () =
 
 let c1 ?(quick = false) () =
   section
-    (if quick then "C1  Subsumption caches off vs on (jobs = 1, quick)"
-     else "C1  Subsumption caches off vs on (jobs = 1)");
+    (if quick then "C1  Exact-hit caches off vs on (jobs = 1, quick)"
+     else "C1  Exact-hit caches off vs on (jobs = 1)");
   let rounds = if quick then 2 else 3 in
-  let policy label p =
+  let switch label on =
     config label ()
       ~enter:(fun () ->
-        Cache.set_policy p;
+        Cache.set_enabled on;
         Cache.clear ())
-      ~leave:Cache.clear_policy_override
+      ~leave:Cache.clear_enabled_override
   in
   let cached name ~note ~answer run =
     match
       measure ~section:"C1" ~workload:name ~rounds ~answer
-        [ policy "cache off" Cache.Off; policy "cache on" Cache.Exact ]
+        [ switch "cache off" false; switch "cache on" true ]
         run
     with
     | [ (_, off); (_, on) ] -> (note, off, on)
@@ -1000,64 +1001,7 @@ let c1 ?(quick = false) () =
         let r3 = C.check (pb "x <= 0.5") in
         Fmt.str "%a / %a / %a" C.pp_result r1 C.pp_result r2 C.pp_result r3)
   in
-  (* Solver verdict stores: repeated delta-decision and repeated paving
-     of the same instance — refuted boxes and unsat paving leaves are
-     replayed from the store on the second pass. *)
-  let solver_kernels () =
-    (* Enzyme-kinetics equilibrium: four coupled constraints make each
-       HC4 fixpoint iterate, so a replayed refutation saves real
-       contraction work. *)
-    let enzyme =
-      Expr.Parse.formula
-        "e + cx = 1 and s + cx + p = 2 and 2*s*e = cx and cx / (s + 1/2) = p"
-    in
-    let tbox =
-      Box.of_list
-        [ ("s", I.make 0.0 2.0); ("p", I.make 0.0 2.0);
-          ("e", I.make 0.0 1.0); ("cx", I.make 0.0 1.0) ]
-    in
-    let ring = Expr.Parse.formula "x^2 + y^2 <= 1 and x^2 + y^2 >= 1/2" in
-    let rbox =
-      Box.of_list [ ("x", I.make (-1.5) 1.5); ("y", I.make (-1.5) 1.5) ]
-    in
-    let dcfg =
-      { Icp.Solver.default_config with
-        delta = (if quick then 1e-3 else 1e-4);
-        epsilon = (if quick then 1e-4 else 1e-5) }
-    in
-    let pcfg =
-      { Icp.Solver.default_config with epsilon = (if quick then 0.1 else 0.05) }
-    in
-    let verdict = function
-      | Icp.Solver.Delta_sat w -> "delta-sat " ^ Box.to_string w.Icp.Solver.box
-      | r -> verdict_kind r
-    in
-    let pav (p : Icp.Solver.paving) =
-      Printf.sprintf "%s|%s|%s"
-        (canon_boxes p.Icp.Solver.sat)
-        (canon_boxes p.Icp.Solver.unsat)
-        (canon_boxes p.Icp.Solver.undecided)
-    in
-    let decide_row =
-      cached "decide-repeat" ~answer:Fun.id
-        ~note:"enzyme equilibrium x2; identical verdicts" (fun () ->
-          let d1 = Icp.Solver.decide ~config:dcfg enzyme tbox in
-          let d2 = Icp.Solver.decide ~config:dcfg enzyme tbox in
-          verdict d1 ^ "\n" ^ verdict d2)
-    in
-    (* The store's worst case on purpose: ring contraction is
-       sub-microsecond per box, so the replay saves about what the cold
-       inserts cost — near break-even, reported as-is. *)
-    let pave_row =
-      cached "pave-repeat" ~answer:Fun.id ~note:"ring x2; identical pavings"
-        (fun () ->
-          let p1 = Icp.Solver.pave ~config:pcfg ring rbox in
-          let p2 = Icp.Solver.pave ~config:pcfg ring rbox in
-          pav p1 ^ "\n" ^ pav p2)
-    in
-    [ decide_row; pave_row ]
-  in
-  let kernels = [ biopsy_kernel (); reach_kernel () ] @ solver_kernels () in
+  let kernels = [ biopsy_kernel (); reach_kernel () ] in
   Report.print
     [ Report.table
         ~header:[ "kernel"; "cache off"; "cache on"; "speedup"; "check" ]
@@ -1066,8 +1010,7 @@ let c1 ?(quick = false) () =
              [ off.workload; secs off.wall_s; secs on.wall_s;
                Fmt.str "%.2fx" on.speedup; note ])
            kernels);
-      Report.text "cache-on rounds under the default exact policy: %s"
-        (Cache.summary ()) ];
+      Report.text "cache-on rounds: %s" (Cache.summary ()) ];
   (* SMC allocation row: the pre-optimization RKF45 driver (the public
      allocating [rkf45_step] per step, fresh arrays throughout) against
      the in-place [simulate] loop, on the same p53 trajectory every SMC
@@ -1174,8 +1117,8 @@ let c1 ?(quick = false) () =
    paving, whose per-box work is sub-microsecond, so per-span and
    per-record costs show at full strength.  It must dwarf clock noise
    for the overhead ratio to mean anything, so even quick mode keeps
-   delta small enough for a few tens of ms per run.  Caches are off (the
-   callers hold [Cache.Off]) so every run repeats the full search. *)
+   delta small enough for a few tens of ms per run.  Decide and pave
+   read no cache, so every run repeats the full search. *)
 let box_churn ~quick =
   let tangency = Expr.Parse.formula "x^2 + y^2 = 1 and x*y = 1/2" in
   let tangency_box =
@@ -1226,8 +1169,6 @@ let o1 ?(quick = false) () =
     (if quick then "O1  Telemetry overhead: off vs metrics vs trace (quick)"
      else "O1  Telemetry overhead: off vs metrics vs trace");
   let rounds = if quick then 4 else 6 in
-  Cache.set_policy Cache.Off;
-  Fun.protect ~finally:Cache.clear_policy_override @@ fun () ->
   let run = box_churn ~quick in
   Telemetry.reset ();
   let records =
@@ -1302,8 +1243,6 @@ let j1 ?(quick = false) () =
     (if quick then "J1  Journal overhead: off vs memory sink (quick)"
      else "J1  Journal overhead: off vs memory sink");
   let rounds = if quick then 4 else 6 in
-  Cache.set_policy Cache.Off;
-  Fun.protect ~finally:Cache.clear_policy_override @@ fun () ->
   let run = box_churn ~quick in
   let sink s =
     config
@@ -1421,8 +1360,8 @@ let pavings_agree formula (a : Icp.Solver.paving) (b : Icp.Solver.paving) =
   && centers_hold a && centers_hold b
   && (a.sat <> []) = (b.sat <> [])
 
-(* Run every layer workload with [set false] then [set true] (caches
-   are off: each run does its own full search).  Decide arms must
+(* Run every layer workload with [set false] then [set true] (decide
+   and pave read no cache: each run does its own full search).  Decide arms must
    return the same verdict kind; pave arms must pass [pavings_agree].
    Returns (kind, off record, on record) per workload. *)
 let layer_ablation ~section ~quick ~rounds ~set =
@@ -1482,11 +1421,7 @@ let n1 ?(quick = false) () =
   section
     (if quick then "N1  Derivative pruning off vs on (quick)"
      else "N1  Derivative pruning: mean-value/Newton + smear, off vs on");
-  Cache.set_policy Cache.Off;
-  Fun.protect ~finally:(fun () ->
-      Cache.clear_policy_override ();
-      Icp.Deriv.clear_enabled_override ())
-  @@ fun () ->
+  Fun.protect ~finally:Icp.Deriv.clear_enabled_override @@ fun () ->
   let rounds = if quick then 2 else 3 in
   let rows =
     layer_ablation ~section:"N1" ~quick ~rounds ~set:Icp.Deriv.set_enabled
@@ -1506,11 +1441,7 @@ let af1 ?(quick = false) () =
   section
     (if quick then "AF1  Affine arithmetic off vs on (quick)"
      else "AF1  Affine arithmetic: ODE field evaluation, off vs on");
-  Cache.set_policy Cache.Off;
-  Fun.protect ~finally:(fun () ->
-      Cache.clear_policy_override ();
-      Interval.Affine.clear_enabled_override ())
-  @@ fun () ->
+  Fun.protect ~finally:Interval.Affine.clear_enabled_override @@ fun () ->
   let rounds = if quick then 2 else 3 in
   (* Validated flow of the logistic equation from an interval initial
      set.  x'(t) = x(1-x) mentions x twice, so the interval remainder

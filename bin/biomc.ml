@@ -108,8 +108,8 @@ let jobs_arg =
 
 let no_cache_arg =
   let doc =
-    "Disable the subsumption caches (flowpipes, HC4 fixpoints, refuted \
-     boxes); equivalent to BIOMC_NO_CACHE=1."
+    "Disable the exact-hit caches (reach segment enclosures, BioPSy box \
+     verdicts); equivalent to BIOMC_NO_CACHE=1."
   in
   Arg.(value & flag & info [ "no-cache" ] ~doc)
 
@@ -131,10 +131,7 @@ let no_affine_arg =
   in
   Arg.(value & flag & info [ "no-affine" ] ~doc)
 
-let apply_cache_policy no_cache =
-  if no_cache then Cache.set_policy Cache.Off
-
-(* One-line hits/misses/warm-starts summary, appended to reports of the
+(* One-line hits/misses summary, appended to reports of the
    cache-assisted analyses. *)
 let cache_line () = Report.text "%s" (Cache.summary ())
 
@@ -234,12 +231,12 @@ let telemetry_items () =
           hist_rows ]
   end
 
-(* Run an analysis body under the common flags: cache policy and
+(* Run an analysis body under the common flags: the layer switches and
    telemetry switches are applied before, the telemetry report section
    and the trace / metrics files are emitted after.  The body returns
    the report items for a successful run. *)
 let with_common c body =
-  apply_cache_policy c.no_cache;
+  if c.no_cache then Cache.set_enabled false;
   if c.no_newton then Icp.Deriv.set_enabled false;
   if c.no_affine then Interval.Affine.set_enabled false;
   if c.metrics || c.metrics_json <> None || c.metrics_prom <> None then
@@ -580,8 +577,7 @@ let solve () formula boxes delta common =
               [ ("formula", formula); ("delta", Fmt.str "%g" delta);
                 ("jobs", string_of_int common.jobs);
                 ("boxes", string_of_int stats.Icp.Solver.boxes_processed) ];
-            Report.text "verdict: %s" (Fmt.str "%a" Icp.Solver.pp_result result);
-            cache_line () ]
+            Report.text "verdict: %s" (Fmt.str "%a" Icp.Solver.pp_result result) ]
       end
 
 let solve_cmd =

@@ -82,30 +82,6 @@ let rec size = function
   | Atom a -> Term.size a.term
   | And fs | Or fs -> List.fold_left (fun acc f -> acc + size f) 1 fs
 
-let fingerprint f =
-  let buf = Buffer.create 128 in
-  let rec go = function
-    | True -> Buffer.add_char buf 'T'
-    | False -> Buffer.add_char buf 'F'
-    | Atom { term; rel } ->
-        Buffer.add_char buf (match rel with Gt -> '>' | Ge -> 'G');
-        Buffer.add_char buf '(';
-        Term.fingerprint_acc buf term;
-        Buffer.add_char buf ')'
-    | And fs ->
-        Buffer.add_char buf '&';
-        Buffer.add_char buf '(';
-        List.iter go fs;
-        Buffer.add_char buf ')'
-    | Or fs ->
-        Buffer.add_char buf '|';
-        Buffer.add_char buf '(';
-        List.iter go fs;
-        Buffer.add_char buf ')'
-  in
-  go f;
-  Buffer.contents buf
-
 let rec free_vars_acc acc = function
   | True | False -> acc
   | Atom a -> Term.free_vars_acc acc a.term

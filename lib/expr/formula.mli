@@ -50,11 +50,6 @@ val in_range : Term.t -> lo:float -> hi:float -> t
 
 val atoms : t -> atom list
 val size : t -> int
-
-(** Collision-safe structural digest (exact float rendering, prefix-code
-    encoding): equal fingerprints imply structurally identical formulas.
-    Keys the solver's paving verdict store. *)
-val fingerprint : t -> string
 val free_vars : t -> SSet.t
 val free_vars_acc : SSet.t -> t -> SSet.t
 val free_var_list : t -> string list

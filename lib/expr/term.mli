@@ -91,13 +91,10 @@ val mentions : string -> t -> bool
 val equal : t -> t -> bool
 (** Structural equality. *)
 
-val fingerprint : t -> string
-(** Canonical injective serialization (floats rendered exactly with %h):
-    two terms share a fingerprint iff they are structurally equal.  Used
-    as a collision-safe memoization key by the subsumption caches. *)
-
 val fingerprint_acc : Buffer.t -> t -> unit
-(** {!fingerprint} into an existing buffer (for composite keys). *)
+(** Canonical injective serialization into a buffer (floats rendered
+    exactly with %h): two terms serialize equally iff they are
+    structurally equal.  Keys the ODE layer's system digest. *)
 
 (** {1 Transformation} *)
 

@@ -35,8 +35,7 @@ module Log = (val Logs.src_log src : Logs.LOG)
    timeline shows the measure shrinking down the search tree); the
    counters mirror the per-query [stats] records into the process-wide
    metrics registry, which is the one reporting path `--metrics` and the
-   bench breakdown read.  Always-on, like the cache counters they sit
-   beside. *)
+   bench breakdown read.  Always-on, like the cache counters. *)
 let tm_decide = Telemetry.Span.probe "icp.decide"
 let tm_pave = Telemetry.Span.probe "icp.pave"
 let tm_box = Telemetry.Span.probe "icp.box"
@@ -59,10 +58,10 @@ let jbounds b =
     (List.map (fun (x, i) -> (x, I.lo i, I.hi i)) (Box.to_list b))
 
 (* No affine flag or budget: the search runs HC4 on plain intervals
-   whatever the affine switch says. *)
+   whatever the affine switch says.  No cache flag: decide and pave read
+   no cache. *)
 let journal_flags jobs =
   [ ("newton", string_of_bool (Deriv.enabled ()));
-    ("cache", string_of_bool (Cache.enabled ()));
     ("jobs", string_of_int jobs) ]
 
 type config = {
@@ -182,42 +181,6 @@ type box_outcome =
   | Found of result  (** a δ-sat verdict, certified or sub-ε one-sided *)
   | Split_into of Box.t * Box.t
 
-(* Verdict store of refuted (pruned) boxes, shared across queries and
-   worker domains.  A pruning is a proof that no point of the box
-   satisfies the conjunction, so an exact hit replays it for free and —
-   under the Warm policy — a hit on a containing box refutes every
-   sub-box (interval monotonicity).  δ-sat verdicts are never stored:
-   only refutations are monotone. *)
-let refuted_cache : unit Cache.t = Cache.create "icp-refuted"
-
-(* [Contractor.of_atom] erases strictness (Gt and Ge both contract
-   against the closed target [-δ, ∞)), but the [sat_possible] pruning in
-   [process_box] distinguishes them, so each atom's relation must be
-   part of every refutation-store key: a boundary box refuted for a
-   strict conjunction is not necessarily refuted for its non-strict
-   twin. *)
-let rels_key atoms =
-  String.concat ""
-    (List.map
-       (fun (a : Expr.Formula.atom) ->
-         match a.rel with Expr.Formula.Gt -> ">" | Expr.Formula.Ge -> "G")
-       atoms)
-
-let refuted_group cfg atoms =
-  if not (Cache.enabled ()) then None
-  else
-    let constraints = List.map (Contractor.of_atom ~delta:cfg.delta) atoms in
-    let rels = rels_key atoms in
-    Some
-      (Printf.sprintf "prune|%s|%s|%h|%d|%b|%b"
-         (Contractor.fingerprint constraints) rels
-         cfg.delta cfg.contractor_rounds cfg.use_contraction
-         (* Newton-era refutations are still proofs, but replaying them
-            into a BIOMC_NO_NEWTON=1 run would change that run's search
-            trajectory — the kill-switch must reproduce the HC4-only
-            search exactly, so the two populations stay separate. *)
-         (Deriv.enabled ()))
-
 (* Per-query gradient system for smear-guided branching (and, through
    [Contractor.contractor], the Newton contraction).  [None] when the
    derivative layer is disabled or no atom is differentiable; the split
@@ -238,42 +201,17 @@ let split_box ?dsys ~min_width b =
   | Some sys -> Deriv.split sys ~min_width b
   | None -> Box.split ~min_width b
 
-let process_box_inner cfg stats ?refuted ?dsys contract formula b =
-  let known_refuted =
-    match refuted with
-    | None -> false
-    | Some group -> (
-        match Cache.find refuted_cache ~group b with
-        | Cache.Hit () | Cache.Subsumed (_, ()) -> true
-        | Cache.Miss -> false)
-  in
-  let record_refuted () =
-    match refuted with
-    | None -> ()
-    | Some group -> Cache.add refuted_cache ~group b ()
-  in
-  if known_refuted then begin
-    stats.prunings <- stats.prunings + 1;
-    (if Journal.on () then
-       match refuted with
-       | Some group -> Journal.set_reason ~group "cache-replay"
-       | None -> ());
-    Pruned
-  end
-  else
+let process_box_inner cfg stats ?dsys contract formula b =
   match contract b with
   | None ->
-      record_refuted ();
       stats.prunings <- stats.prunings + 1;
       Pruned
   | Some b' ->
       if Box.is_empty b' then begin
-        record_refuted ();
         stats.prunings <- stats.prunings + 1;
         Pruned
       end
       else if not (Expr.Formula.sat_possible ~delta:cfg.delta b' formula) then begin
-        record_refuted ();
         stats.prunings <- stats.prunings + 1;
         if Journal.on () then Journal.set_reason "sat-impossible";
         Pruned
@@ -297,16 +235,16 @@ let total_width b = Box.fold (fun _ itv acc -> acc +. I.width itv) b 0.0
 (* The telemetry wrapper around the per-box step: pure observation (a
    span and, when tracing, the box measure), so verdicts are identical
    with telemetry on or off. *)
-let process_box cfg stats ?refuted ?dsys contract formula b =
+let process_box cfg stats ?dsys contract formula b =
   if not (Telemetry.enabled ()) then
-    process_box_inner cfg stats ?refuted ?dsys contract formula b
+    process_box_inner cfg stats ?dsys contract formula b
   else begin
     let tok =
       if Telemetry.trace_on () then
         Telemetry.Span.enter ~arg:(total_width b) tm_box
       else Telemetry.Span.enter tm_box
     in
-    match process_box_inner cfg stats ?refuted ?dsys contract formula b with
+    match process_box_inner cfg stats ?dsys contract formula b with
     | r ->
         Telemetry.Span.exit tm_box tok;
         r
@@ -330,7 +268,6 @@ let conjunction_contractor cfg atoms =
 let decide_conjunction ~cancelled ~root_label ~spend cfg stats formula atoms
     box =
   let contract = conjunction_contractor cfg atoms in
-  let refuted = refuted_group cfg atoms in
   let dsys = conjunction_deriv ~delta:cfg.delta atoms in
   let jon = Journal.on () in
   let heur = if Option.is_some dsys then "smear" else "bisect" in
@@ -351,7 +288,7 @@ let decide_conjunction ~cancelled ~root_label ~spend cfg stats formula atoms
             Unknown "box budget exhausted"
           end
           else
-            match process_box cfg stats ?refuted ?dsys contract formula b with
+            match process_box cfg stats ?dsys contract formula b with
             | Pruned ->
                 if jon then begin
                   let reason, group = Journal.take_reason () in
@@ -411,7 +348,6 @@ let rec record_verdict cell r =
    lease. *)
 let decide_conjunction_parallel ~jobs ~spend cfg worker_stats formula atoms box =
   let contract = conjunction_contractor cfg atoms in
-  let refuted = refuted_group cfg atoms in
   let dsys = conjunction_deriv ~delta:cfg.delta atoms in
   let jon = Journal.on () in
   let heur = if Option.is_some dsys then "smear" else "bisect" in
@@ -434,7 +370,7 @@ let decide_conjunction_parallel ~jobs ~spend cfg worker_stats formula atoms box 
         Parallel.Pool.Frontier.stop fr
       end
       else
-        match process_box cfg stats ?refuted ?dsys contract formula b with
+        match process_box cfg stats ?dsys contract formula b with
         | Pruned ->
             if jon then begin
               let reason, group = Journal.take_reason () in
@@ -609,46 +545,10 @@ type pave_outcome =
   | Pave_split of Box.t * Box.t
   | Pave_undecided
 
-(* Unsat verdicts in a paving are monotone ("no point of the box
-   satisfies the formula"), so they are shared through the same store as
-   decide-side prunings, under a formula-keyed group.  Certain/sat
-   verdicts are NOT monotone in the useful direction for reuse across
-   different boxes and are never stored. *)
-let pave_group cfg formula =
-  if not (Cache.enabled ()) then None
-  else
-    Some
-      (Printf.sprintf "pave|%s|%b|%b"
-         (Digest.to_hex (Digest.string (Expr.Formula.fingerprint formula)))
-         cfg.use_contraction
-         (Deriv.enabled ()))
-
-let pave_step cfg ?refuted ?dsys contract formula b =
-  let known_unsat =
-    match refuted with
-    | None -> false
-    | Some group -> (
-        match Cache.find refuted_cache ~group b with
-        | Cache.Hit () | Cache.Subsumed (_, ()) -> true
-        | Cache.Miss -> false)
-  in
-  let record_unsat () =
-    match refuted with
-    | None -> ()
-    | Some group -> Cache.add refuted_cache ~group b ()
-  in
-  if known_unsat then begin
-    (if Journal.on () then
-       match refuted with
-       | Some group -> Journal.set_reason ~group "cache-replay"
-       | None -> ());
-    Pave_unsat
-  end
-  else
+let pave_step cfg ?dsys contract formula b =
   match Expr.Formula.eval_cert b formula with
   | Expr.Formula.Certain -> Pave_sat
   | Expr.Formula.Impossible ->
-      record_unsat ();
       if Journal.on () then Journal.set_reason "eval-impossible";
       Pave_unsat
   | Expr.Formula.Unknown ->
@@ -658,10 +558,7 @@ let pave_step cfg ?refuted ?dsys contract formula b =
          stay simple and exact we only use contraction as an
          infeasibility test here. *)
       let infeasible = cfg.use_contraction && Option.is_none (contract b) in
-      if infeasible then begin
-        record_unsat ();
-        Pave_unsat
-      end
+      if infeasible then Pave_unsat
       else (
         match split_box ?dsys ~min_width:cfg.epsilon b with
         | Some (l, r) -> Pave_split (l, r)
@@ -677,7 +574,6 @@ let pave_search ?(config = default_config) formula box =
       Contractor.contractor ~max_rounds:2 constraints
     else fun b -> Some b
   in
-  let refuted = pave_group config formula in
   let dsys = conjunction_deriv ~delta:0.0 atoms in
   let jobs = Stdlib.max 1 config.jobs in
   let stats = fresh_stats () in
@@ -716,7 +612,7 @@ let pave_search ?(config = default_config) formula box =
             Journal.enter ~id:jid ~depth;
             Journal.clear_reason ()
           end;
-          match pave_step config ?refuted ?dsys contract formula b with
+          match pave_step config ?dsys contract formula b with
           | Pave_sat ->
               if jon then Journal.leaf ~id:jid ~cls:"sat" ();
               sat := b :: !sat

@@ -25,9 +25,11 @@ type config = {
 val default_config : config
 
 val config_fingerprint : config -> string
-(** Exact textual fingerprint (floats rendered with %h), used as part of
-    flowpipe/verdict cache keys by this module and by callers keying
-    their own caches on an enclosure configuration. *)
+(** Exact textual fingerprint (floats rendered with %h) of the config
+    and of the current affine switch and budget, which {!flow} samples:
+    part of the cache keys of callers that store results computed from
+    tubes, so a [BIOMC_NO_AFFINE=1] run never replays affine-era
+    entries. *)
 
 type step = {
   t_lo : float;

@@ -223,14 +223,10 @@ let bracket_of_traces cfg t_end traces =
   List.filter_map Fun.id steps
 
 (* Segment-enclosure cache: path enumeration revisits mode flows (every
-   candidate path shares prefixes with its extensions, and synthesis
-   re-checks shrinking sub-boxes), so memoize the whole
-   validated-or-bracketed answer.  The fallback bracket is deterministic
-   (fixed sampling seed), so exact replay is identity-preserving; under
-   the Warm policy a parent box's enclosure is reused directly for
-   sub-boxes — sound because it contains every trajectory of the
-   sub-box too (and [None] means "no usable enclosure", a conservative
-   answer that stays conservative on sub-boxes). *)
+   candidate path shares prefixes with its extensions), so memoize the
+   whole validated-or-bracketed answer.  The fallback bracket is
+   deterministic (fixed sampling seed), so exact replay is
+   identity-preserving. *)
 let seg_cache : segment_enclosure option Cache.t =
   Cache.create ~group_capacity:2048 "reach-seg"
 
@@ -310,16 +306,10 @@ let flow_enclosure ?jseg cfg pb_sys ~prepared ~params_box ~init_box ~t_end =
     let group = seg_group cfg pb_sys ~t_end in
     let key = Box.join params_box init_box in
     match Cache.find seg_cache ~group key with
-    | Cache.Hit seg ->
+    | Some seg ->
         jemit ~cached:true;
         seg
-    | Cache.Subsumed (_, seg) ->
-        (* Warm policy only: a containing box's enclosure (or its
-           conservative [None]) is valid for this sub-box as-is. *)
-        Cache.note_warm_start seg_cache ~saved_iterations:0;
-        jemit ~cached:true;
-        seg
-    | Cache.Miss ->
+    | None ->
         let seg =
           flow_enclosure_uncached cfg pb_sys ~prepared ~params_box ~init_box
             ~t_end

@@ -69,11 +69,8 @@ type verdict = All_fit | None_fit | Split_
 
 (* Verdict store for parameter-box classification.  [classify] is a pure,
    deterministic function of (problem, config, box), so exact replays are
-   identity-preserving.  Under the Warm policy, a containing box's
-   conclusive verdict transfers to sub-boxes: All_fit and None_fit are
-   both statements about the *true* trajectories of every parameter in
-   the box (proved through the parent's validated tube, which encloses
-   the sub-box's trajectories too); only Split_ must be recomputed. *)
+   identity-preserving; refinement sweeps re-classify the boxes of
+   coarser pavings. *)
 let verdict_cache : verdict Cache.t = Cache.create ~group_capacity:4096 "biopsy"
 
 let problem_group cfg prob =
@@ -130,16 +127,11 @@ let classify_inner cfg prob prepared ?group pbox =
   | None -> classify_uncached cfg prob prepared pbox
   | Some group -> (
       match Cache.find verdict_cache ~group pbox with
-      | Cache.Hit v ->
+      | Some v ->
           if v = None_fit && Journal.on () then
             Journal.set_reason ~group "cache-replay";
           v
-      | Cache.Subsumed (_, (All_fit | None_fit as v)) ->
-          Cache.note_warm_start verdict_cache ~saved_iterations:0;
-          if v = None_fit && Journal.on () then
-            Journal.set_reason ~group "cache-replay";
-          v
-      | Cache.Subsumed (_, Split_) | Cache.Miss ->
+      | None ->
           let v = classify_uncached cfg prob prepared pbox in
           Cache.add verdict_cache ~group pbox v;
           v)

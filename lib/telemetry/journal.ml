@@ -342,15 +342,15 @@ let sat ~id ?(point = []) ~certified (b : bounds) =
         Buffer.add_string buf "],\"b\":";
         add_bounds buf b)
 
-let tube ~sys ~t0 ~t1 ~steps ~complete ~cached =
+let tube ~sys ~t0 ~t1 ~steps ~complete =
   if on () then
     emit (fun buf ->
         run_field buf "tube";
         Buffer.add_string buf ",\"sys\":";
         Telemetry.Json.escape buf sys;
         Buffer.add_string buf
-          (Printf.sprintf ",\"t0\":\"%h\",\"t1\":\"%h\",\"n\":%d,\"cm\":%b,\"ch\":%b"
-             t0 t1 steps complete cached))
+          (Printf.sprintf ",\"t0\":\"%h\",\"t1\":\"%h\",\"n\":%d,\"cm\":%b"
+             t0 t1 steps complete))
 
 let path_event ~index ~info =
   if on () then
@@ -443,7 +443,6 @@ type ev =
       t1 : float;
       steps : int;
       complete : bool;
-      cached : bool;
     }
   | Path of { run : int; index : int; info : string }
   | Seg of { run : int; path : int; index : int; mode : string; cached : bool }
@@ -546,8 +545,7 @@ let parse_line line =
               Tube
                 { run = run (); sys = str (field f "sys");
                   t0 = hexf (field f "t0"); t1 = hexf (field f "t1");
-                  steps = int_ (field f "n"); complete = bool_ (field f "cm");
-                  cached = bool_ (field f "ch") }
+                  steps = int_ (field f "n"); complete = bool_ (field f "cm") }
           | "path" -> Path { run = run (); index = int_ (field f "p"); info = str (field f "info") }
           | "seg" ->
               Seg
@@ -928,7 +926,6 @@ type run_summary = {
   s_witness : (int * int * string) list;
       (** delta-sat chain: (id, depth, split var or terminal marker) *)
   s_tubes : int;
-  s_tubes_cached : int;
   s_paths : int;
   s_segs : int;
 }
@@ -942,7 +939,7 @@ let summarize f (r : run_info) =
   let enters = ref 0 and splits = ref 0 and prunes = ref 0 and sats = ref 0 in
   let leaves_ = ref [] and reasons = ref [] in
   let by_depth : (int, (string * int) list ref) Hashtbl.t = Hashtbl.create 16 in
-  let tubes = ref 0 and tubes_cached = ref 0 in
+  let tubes = ref 0 in
   let paths = ref 0 and segs = ref 0 in
   let depth_of id =
     match Hashtbl.find_opt f.f_nodes id with Some n -> n.depth | None -> 0
@@ -967,9 +964,7 @@ let summarize f (r : run_info) =
           bump cell reason
       | Sat { run; _ } when run = r.rid -> incr sats
       | Leaf { run; cls; _ } when run = r.rid -> bump leaves_ cls
-      | Tube { run; cached; _ } when run = r.rid ->
-          incr tubes;
-          if cached then incr tubes_cached
+      | Tube { run; _ } when run = r.rid -> incr tubes
       | Path { run; _ } when run = r.rid -> incr paths
       | Seg { run; _ } when run = r.rid -> incr segs
       | _ -> ())
@@ -1019,7 +1014,6 @@ let summarize f (r : run_info) =
       |> List.sort compare;
     s_witness = witness;
     s_tubes = !tubes;
-    s_tubes_cached = !tubes_cached;
     s_paths = !paths;
     s_segs = !segs;
   }
@@ -1091,8 +1085,8 @@ let provenance_json f =
         s.s_witness;
       Buffer.add_string buf
         (Printf.sprintf
-           "], \"tubes\": %d, \"tubes_cached\": %d, \"paths\": %d, \"segments\": %d"
-           s.s_tubes s.s_tubes_cached s.s_paths s.s_segs);
+           "], \"tubes\": %d, \"paths\": %d, \"segments\": %d"
+           s.s_tubes s.s_paths s.s_segs);
       Buffer.add_string buf "}")
     (runs f);
   Buffer.add_string buf "\n  ],\n  \"audit\": {";
@@ -1145,8 +1139,7 @@ let report f =
       else if r.verdict = Some "unsat" then
         pr "  refutation cover: %d pruned leaves account for the whole box\n"
           s.s_prunes;
-      if s.s_tubes > 0 then
-        pr "  ODE tubes: %d (%d cache replays)\n" s.s_tubes s.s_tubes_cached;
+      if s.s_tubes > 0 then pr "  ODE tubes: %d\n" s.s_tubes;
       if s.s_paths > 0 then pr "  reach paths: %d, segments: %d\n" s.s_paths s.s_segs)
     (runs f);
   let violations = audit f in
@@ -1219,14 +1212,13 @@ module Progress = struct
   let counter counters name =
     match List.assoc_opt name counters with Some v -> v | None -> 0
 
-  let sum_suffix counters suffix =
+  (* Sum of the [cache.<name>.<field>] counters over every cache. *)
+  let sum_cache counters field =
+    let suffix = "." ^ field in
     List.fold_left
       (fun acc (name, v) ->
-        if String.length name > String.length suffix
-           && String.sub name
-                (String.length name - String.length suffix)
-                (String.length suffix)
-              = suffix
+        if String.starts_with ~prefix:"cache." name
+           && String.ends_with ~suffix name
         then acc + v
         else acc)
       0 counters
@@ -1235,10 +1227,8 @@ module Progress = struct
     let prunes =
       counter counters "icp.decide.prunings" + counter counters "icp.pave.prunings"
     in
-    let hits =
-      sum_suffix counters ".hits" + sum_suffix counters ".subsumption_hits"
-    in
-    let misses = sum_suffix counters ".misses" in
+    let hits = sum_cache counters "hits" in
+    let misses = sum_cache counters "misses" in
     let cache =
       if hits + misses = 0 then "-"
       else Printf.sprintf "%.0f%%" (100.0 *. float hits /. float (hits + misses))

@@ -135,7 +135,6 @@ val tube :
   t1:float ->
   steps:int ->
   complete:bool ->
-  cached:bool ->
   unit
 
 val path_event : index:int -> info:string -> unit
@@ -144,7 +143,7 @@ val seg : path:int -> index:int -> mode:string -> cached:bool -> unit
 (** {2 Prune-reason attribution}
 
     The layer that actually refutes a box (HC4 tape, interval Newton,
-    mean-value form, a cache replay) is several calls
+    mean-value form, a BioPSy verdict-store replay) is several calls
     below the loop that emits the prune record, so attribution flows
     through a per-domain cell: the refuting site calls {!set_reason},
     the loop clears the cell before each box and {!take_reason}s it
@@ -188,7 +187,6 @@ type ev =
       t1 : float;
       steps : int;
       complete : bool;
-      cached : bool;
     }
   | Path of { run : int; index : int; info : string }
   | Seg of { run : int; path : int; index : int; mode : string; cached : bool }
@@ -262,7 +260,9 @@ val audit : forest -> string list
     (un-truncated, no-cancel) run every reachable node is accounted for
     (split or terminal); prune reasons are consistent with the run
     header's flag snapshot (["newton"]/["mean-value"] need the newton
-    flag, ["cache-replay"] the cache flag);
+    flag, ["cache-replay"] the cache flag, which only reach and synth
+    headers carry: decide and pave read no cache, so a replay there is
+    a violation);
     a recorded ["affine_budget"] flag parses as a positive integer. *)
 
 val provenance_json : forest -> string
@@ -285,10 +285,15 @@ module Progress : sig
   val start : ?interval:float -> ?budget:int -> unit -> t
   (** Spawn the heartbeat domain: every [interval] seconds (default
       0.5) it reads the always-on telemetry registry and, when the
-      numbers moved, writes one line to stderr — boxes/sec, total
-      boxes, prunings, cache hit rate, budget remaining (against
-      [budget] total when given).  Purely
-      observational. *)
+      numbers moved, writes one line to stderr (see {!render}).
+      Purely observational. *)
+
+  val render :
+    budget:int option -> boxes:int -> rate:float -> (string * int) list -> string
+  (** One heartbeat line from a counter snapshot: boxes/sec, total
+      boxes, prunings, the hit rate summed over the [cache.*.hits] and
+      [cache.*.misses] counters, budget remaining (against [budget]
+      total when given). *)
 
   val stop : t -> unit
   (** Stop and join the heartbeat; prints a final line. *)

@@ -215,10 +215,6 @@ let with_affine flag f =
   A.set_enabled flag;
   Fun.protect ~finally:A.clear_enabled_override f
 
-let with_cache_off f =
-  Cache.set_policy Cache.Off;
-  Fun.protect ~finally:Cache.clear_policy_override f
-
 let with_metrics f =
   let metrics = Telemetry.metrics_on () in
   Telemetry.set_metrics true;
@@ -280,12 +276,11 @@ let with_sequential_drive f =
   Parallel.Pool.set_domain_cap (Some 1);
   Fun.protect ~finally:(fun () -> Parallel.Pool.set_domain_cap (Some saved)) f
 
-(* The strict pin: with the caches off (so neither run can replay the
-   other's results) every decide case at jobs 1 and 2 and every pave
+(* The strict pin: every decide case at jobs 1 and 2 and every pave
    case returns the same verdict, the same stats and the same leaves
-   with the affine switch on and off. *)
+   with the affine switch on and off (decide and pave read no cache, so
+   neither run can replay the other's results). *)
 let test_search_ignores_affine () =
-  with_cache_off @@ fun () ->
   with_sequential_drive @@ fun () ->
   List.iter
     (fun jobs ->
@@ -332,7 +327,6 @@ let affine_span_count () =
    the logistic equation still tightens its field with affine forms. *)
 let test_affine_only_in_flows () =
   with_metrics @@ fun () ->
-  with_cache_off @@ fun () ->
   with_affine true @@ fun () ->
   let before = affine_span_count () in
   List.iter (fun (_, fs, bx) -> ignore (S.decide (P.formula fs) bx)) decide_cases;

@@ -192,6 +192,19 @@ let test_ablation_no_contraction () =
   Alcotest.(check bool) "same root" true
     (Float.abs (List.assoc "x" w1.point -. List.assoc "x" w2.point) < 0.1)
 
+(* Contraction erases strictness (x > 0 and x >= 0 compile to the same
+   constraint), but the sat_possible pruning does not: on [-1, 0] at
+   δ = 0 the strict atom is refuted while the non-strict one is δ-sat at
+   the boundary.  Deciding the two back to back in one process checks
+   that nothing carries the strict refutation over to its twin. *)
+let test_strictness_not_conflated () =
+  let config = { cfg with delta = 0.0 } in
+  let b = box [ ("x", -1.0, 0.0) ] in
+  expect_unsat "x>0 on [-1,0]" (S.decide ~config (F.gt (T.var "x") (T.const 0.0)) b);
+  ignore
+    (expect_delta_sat "x>=0 on [-1,0]"
+       (S.decide ~config (F.ge (T.var "x") (T.const 0.0)) b))
+
 (* ---- Paving tests ---- *)
 
 let test_pave_circle () =
@@ -441,6 +454,7 @@ let () =
           Alcotest.test_case "budget exhaustion" `Quick test_decide_budget;
           Alcotest.test_case "stats" `Quick test_stats;
           Alcotest.test_case "ablation: no contraction" `Quick test_ablation_no_contraction;
+          Alcotest.test_case "strictness not conflated" `Quick test_strictness_not_conflated;
         ] );
       ( "paving",
         [

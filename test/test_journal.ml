@@ -59,7 +59,7 @@ let check_audit forest = Alcotest.(check (list string)) "audit" [] (J.audit fore
    search kinds (decide, pave) run HC4 on plain intervals, so they carry
    no affine flag or budget; reach and synth flows condense the ODE
    field's affine forms to [affine_budget]. *)
-let search_flags = [ "cache"; "jobs"; "newton" ]
+let search_flags = [ "jobs"; "newton" ]
 let flow_flags = [ "affine"; "affine_budget"; "cache"; "jobs"; "newton" ]
 
 let check_flag_keys (run : J.run_info) expected =
@@ -417,9 +417,6 @@ let test_rejects_unknown_kind () =
 let test_disabled_noop () =
   let f = formula "x^3 - x = 1/4" in
   let box = Box.of_list [ ("x", I.make (-2.0) 2.0) ] in
-  let prev_policy = Cache.policy () in
-  Cache.set_policy Cache.Off;
-  Fun.protect ~finally:(fun () -> Cache.set_policy prev_policy) @@ fun () ->
   J.set_sink J.Off;
   Alcotest.(check bool) "off" false (J.on ());
   let r_off = S.decide f box in
@@ -431,6 +428,22 @@ let test_disabled_noop () =
   Alcotest.(check string) "verdict bit-identical"
     (Fmt.str "%a" S.pp_result r_off)
     (Fmt.str "%a" S.pp_result r_on)
+
+(* ---- progress heartbeat ---- *)
+
+(* The hit rate sums the cache.<name>.hits / .misses counters of every
+   store and nothing else. *)
+let test_progress_hit_rate () =
+  let line counters = J.Progress.render ~budget:None ~boxes:0 ~rate:0.0 counters in
+  Alcotest.(check bool) "75% over two stores" true
+    (contains
+       (line
+          [ ("cache.reach-seg.hits", 2); ("cache.reach-seg.misses", 1);
+            ("cache.biopsy.hits", 1); ("cache.biopsy.misses", 0);
+            ("other.hits", 100); ("other.misses", 100) ])
+       "cache-hit=75%");
+  Alcotest.(check bool) "no cache traffic" true
+    (contains (line [ ("other.hits", 1) ]) "cache-hit=-")
 
 let () =
   Alcotest.run "journal"
@@ -465,4 +478,6 @@ let () =
            (clean test_rejects_unknown_kind) ]);
       ("discipline",
        [ Alcotest.test_case "disabled journaling is a no-op" `Quick
-           (clean test_disabled_noop) ]) ]
+           (clean test_disabled_noop) ]);
+      ("progress",
+       [ Alcotest.test_case "cache hit rate" `Quick test_progress_hit_rate ]) ]

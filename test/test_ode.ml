@@ -288,8 +288,8 @@ let test_enclosure_oscillator () =
    Box (state ∪ params ∪ t) and tree-walks each right-hand side with
    [Expr.Term.eval_interval].  [Enc.flow] runs the same arithmetic over
    flat interval tapes, operation for operation, so with the affine pass
-   off (it only exists on the tape path) and caches off the two tubes
-   must agree bit for bit. *)
+   off (it only exists on the tape path) the two tubes must agree bit
+   for bit. *)
 
 let eval_field terms params time state =
   let box =
@@ -364,13 +364,8 @@ let flow_tree (cfg : Enc.config) sys ~params ~init ~t_end =
   go 0.0 init cfg.h []
 
 let test_flow_matches_tree_oracle () =
-  Cache.set_policy Cache.Off;
   Interval.Affine.set_enabled false;
-  Fun.protect
-    ~finally:(fun () ->
-      Cache.clear_policy_override ();
-      Interval.Affine.clear_enabled_override ())
-  @@ fun () ->
+  Fun.protect ~finally:Interval.Affine.clear_enabled_override @@ fun () ->
   let same_box what a b =
     if not (Box.equal a b) then
       Alcotest.failf "%s: tape %s <> tree %s" what (Box.to_string a)

@@ -175,15 +175,15 @@ let test_reach_two_modes_unsat () =
    that brackets advances the span count by exactly as many flows as
    the [reach.fallback_brackets] counter records.  Over k in [0.5, 2]
    the interval tube of x' = -kx wraps past the quality width by t = 2,
-   so the growth query is unsat only by a bracket.  Caches off: every
-   flow is integrated afresh. *)
+   so the growth query is unsat only by a bracket.  The segment store is
+   off: every flow is integrated afresh. *)
 let test_bracket_span () =
   let metrics = Telemetry.metrics_on () in
   Telemetry.set_metrics true;
-  Cache.set_policy Cache.Off;
+  Cache.set_enabled false;
   Fun.protect
     ~finally:(fun () ->
-      Cache.clear_policy_override ();
+      Cache.clear_enabled_override ();
       Telemetry.set_metrics metrics)
   @@ fun () ->
   let spans () =
